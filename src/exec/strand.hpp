@@ -16,6 +16,16 @@
 // through the executor's fair global queue so one hot strand cannot
 // monopolize a worker or starve its deque neighbours.
 //
+// Inline activations: post_claim() enqueues like post() but, when the
+// strand was idle, hands the activation to the CALLER instead of the
+// pool; the caller then runs it with drain() on its own thread. A thread
+// that already holds the event (an event loop with a fresh frame, a
+// client with a fresh release) thus runs an idle strand without waking a
+// pool worker. drain() is the same bounded activation a worker runs: at
+// most kBatch tasks, then the remainder goes to the pool. The no-overlap
+// and FIFO guarantees are unchanged, since `active` still admits exactly
+// one activation at a time, wherever it runs.
+//
 // The serialization guarantee doubles as the memory fence: task i's
 // effects are published to task i+1 (possibly on another worker) through
 // the queue mutex, so strand-confined state is race-free by construction.
@@ -38,9 +48,9 @@
 namespace dmx::exec {
 
 namespace detail {
-/// Shared across every strand in the process: activations (pool pickups)
-/// and the distribution of tasks drained per activation — the batching
-/// evidence behind the kBatch=32 choice.
+/// Shared across every strand in the process: activations (pool pickups
+/// and inline drains) and the distribution of tasks drained per
+/// activation — the batching evidence behind the kBatch=32 choice.
 inline telemetry::CounterId strand_activations_counter() {
   static const telemetry::CounterId id =
       telemetry::Registry::global().counter("exec.strand_activations");
@@ -86,6 +96,22 @@ class Strand {
     }
     if (activate) executor_.submit(&pool_task_);
   }
+
+  /// Enqueues `task` and returns true iff the strand was idle. On true the
+  /// caller owns the activation and must call drain() (nothing was
+  /// scheduled on the pool); on false an activation already in progress
+  /// runs the task. Never drain while holding a lock a task may take.
+  [[nodiscard]] bool post_claim(Task task) {
+    std::lock_guard<std::mutex> guard(mutex_);
+    queue_.push(std::move(task));
+    if (active_) return false;
+    active_ = true;
+    return true;
+  }
+
+  /// Runs the activation claimed by post_claim() on the calling thread:
+  /// at most kBatch tasks, then any remainder is handed to the pool.
+  void drain() { run(); }
 
   /// Tasks executed over the strand's lifetime (test introspection; only
   /// meaningful once the strand is quiescent).

@@ -760,12 +760,13 @@ void ThreadedLockSpace::maybe_repair(ResourceId r) {
   spec.epoch = e;
   const proto::Algorithm& algorithm =
       algorithms_[static_cast<std::size_t>(r)];
+  // Star over the survivors rooted at the winner: diameter 2 from any
+  // survivor to the regenerated token, independent of who died. The
+  // factory reads the tree only while it builds the instances.
+  std::optional<topology::Tree> tree;
   if (algorithm.needs_tree) {
-    // Star over the survivors rooted at the winner: diameter 2 from any
-    // survivor to the regenerated token, independent of who died.
-    rs.trees.push_back(std::make_unique<topology::Tree>(
-        topology::Tree::star(spec.n, spec.initial_token_holder)));
-    spec.tree = rs.trees.back().get();
+    tree.emplace(topology::Tree::star(spec.n, spec.initial_token_holder));
+    spec.tree = &*tree;
   }
   auto fresh = algorithm.factory(spec);
   DMX_CHECK(fresh.size() == static_cast<std::size_t>(spec.n) + 1);

@@ -184,8 +184,6 @@ class ThreadedLockSpace {
     std::uint64_t repair_started_ns = 0;
     /// Membership of the resource's current epoch (empty = identity).
     fault::Membership membership;
-    /// Repair topologies, kept alive for the instances referencing them.
-    std::vector<std::unique_ptr<topology::Tree>> trees;
   };
 
   /// Per-resource interned metric ids and token-kind set, resolved once

@@ -310,7 +310,13 @@ void DistributedLockSpace::connect(NodeId peer, std::uint16_t port) {
   loop_->connect(peer, port);
 }
 
-void DistributedLockSpace::start() { loop_->start(); }
+void DistributedLockSpace::start() {
+  // Higher ids dial us. A frame routed to one of them before the loop has
+  // processed its HELLO (a forwarded REQUEST while the mesh is still
+  // identifying) is parked, not dropped.
+  for (NodeId v = config_.self + 1; v <= config_.n; ++v) loop_->expect(v);
+  loop_->start();
+}
 
 bool DistributedLockSpace::wait_connected(std::chrono::milliseconds timeout) {
   return loop_->wait_for_peers(config_.n - 1, timeout);
@@ -392,33 +398,42 @@ void DistributedLockSpace::on_frame(const FrameHeader& header,
   }
 
   RepairState& rs = repair(header.resource);
-  std::lock_guard<std::mutex> guard(rs.mutex);
-  if (header.epoch < rs.target) {
-    // Old-world traffic after the fence went up: the sender had not yet
-    // processed the repair announcement. Dropping it here is the wire
-    // equivalent of the threaded substrate's fenced strand tasks.
-    stale_frames_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (header.epoch > rs.installed) {
-    // The frame is from a world we have not installed yet (its REPAIR is
-    // still in flight, or the install awaits acks); park it and drain it
-    // behind the reset task once the matching world lands.
-    if (rs.queued.size() >= kMaxQueuedFrames) {
-      record_error("repair frame queue overflow on resource " +
-                   std::to_string(header.resource));
+  ResourceNode& x = rn(header.resource);
+  bool claimed;
+  {
+    std::lock_guard<std::mutex> guard(rs.mutex);
+    if (header.epoch < rs.target) {
+      // Old-world traffic after the fence went up: the sender had not yet
+      // processed the repair announcement. Dropping it here is the wire
+      // equivalent of the threaded substrate's fenced strand tasks.
+      stale_frames_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    rs.queued.push_back(
-        QueuedFrame{header.epoch, header.from, std::move(message)});
-    return;
+    if (header.epoch > rs.installed) {
+      // The frame is from a world we have not installed yet (its REPAIR
+      // is still in flight, or the install awaits acks); park it and
+      // drain it behind the reset task once the matching world lands.
+      if (rs.queued.size() >= kMaxQueuedFrames) {
+        record_error("repair frame queue overflow on resource " +
+                     std::to_string(header.resource));
+        return;
+      }
+      rs.queued.push_back(
+          QueuedFrame{header.epoch, header.from, std::move(message)});
+      return;
+    }
+    // Posted under rs.mutex, so the delivery keeps its FIFO place against
+    // an install's reset task.
+    const Epoch tag = header.epoch;
+    const NodeId from = header.from;
+    claimed = x.strand.post_claim(
+        [&x, tag, from, msg = std::move(message)]() mutable {
+          x.deliver(tag, from, std::move(msg));
+        });
   }
-  ResourceNode& x = rn(header.resource);
-  const Epoch tag = header.epoch;
-  const NodeId from = header.from;
-  x.strand.post([&x, tag, from, msg = std::move(message)]() mutable {
-    x.deliver(tag, from, std::move(msg));
-  });
+  // An idle strand runs here on the loop thread, which already holds the
+  // frame: no pool worker wakes between the wire and the handler.
+  if (claimed) x.strand.drain();
 }
 
 void DistributedLockSpace::on_peer_down(NodeId peer) {
@@ -657,12 +672,13 @@ void DistributedLockSpace::install_world_locked(ResourceId r,
   spec.initial_token_holder = rs.membership->rank_of(rs.winner);
   spec.seed = config_.seed;
   spec.epoch = e;
+  // Star over the survivors rooted at the winner: diameter 2 from any
+  // survivor to the regenerated token, independent of who died. The
+  // factory reads the tree only while it builds the instances.
+  std::optional<topology::Tree> tree;
   if (config_.algorithm.needs_tree) {
-    // Star over the survivors rooted at the winner: diameter 2 from any
-    // survivor to the regenerated token, independent of who died.
-    rs.trees.push_back(std::make_unique<topology::Tree>(
-        topology::Tree::star(spec.n, spec.initial_token_holder)));
-    spec.tree = rs.trees.back().get();
+    tree.emplace(topology::Tree::star(spec.n, spec.initial_token_holder));
+    spec.tree = &*tree;
   }
   auto fresh = config_.algorithm.factory(spec);
   DMX_CHECK(fresh.size() == static_cast<std::size_t>(spec.n) + 1);
@@ -777,7 +793,14 @@ LockError DistributedLockSpace::wait_for_grant(
       x.requested = true;
       const Epoch tag = resource_epoch_[static_cast<std::size_t>(r)].load(
           std::memory_order_acquire);
-      x.strand.post([&x, tag] { x.request(tag); });
+      if (x.strand.post_claim([&x, tag] { x.request(tag); })) {
+        // Run the idle strand on this thread; on_grant takes client_mutex,
+        // so the request runs with it released (a local token grants
+        // before the wait below even starts).
+        guard.unlock();
+        x.strand.drain();
+        guard.lock();
+      }
     }
     const auto ready = [this, r, &x, ticket] {
       return (x.granted && x.fifo.front() == ticket) ||
@@ -900,6 +923,7 @@ void DistributedLockSpace::unlock(ResourceId r) {
   int chain_arg = 0;
   int ended_chain = 0;  // lease window closed at this length (0 = none)
   bool yielded_with_waiters = false;
+  bool claimed = false;  // this thread owns the strand activation
   {
     std::lock_guard<std::mutex> guard(x.client_mutex);
     DMX_CHECK_MSG(x.held, "unlock of resource " << name(r)
@@ -956,8 +980,9 @@ void DistributedLockSpace::unlock(ResourceId r) {
       yielded_with_waiters = x.waiting > 0;
       // Strand FIFO orders the release ahead of the follow-up request,
       // and posting under client_mutex keeps a racing lock() on another
-      // thread from slipping its request in between.
-      x.strand.post([&x, tag] { x.release(tag); });
+      // thread from slipping its request in between. The drain waits
+      // until the mutex is released (on_grant takes it).
+      claimed = x.strand.post_claim([&x, tag] { x.release(tag); });
       if (x.waiting > 0 && !x.requested) {
         x.requested = true;
         x.strand.post([&x, tag] { x.request(tag); });
@@ -991,6 +1016,10 @@ void DistributedLockSpace::unlock(ResourceId r) {
                                          telemetry::FlightEvent::kLeaseYield,
                                          r, config_.self, ended_chain);
   }
+  // The release runs here on the releasing thread when the strand was
+  // idle: the token leaves with no pool wake-up. Outside rs.mutex, which
+  // a blocking send must never hold.
+  if (claimed) x.strand.drain();
   // Complete a repair that deferred while this client held the lock.
   // Taken without client_mutex: the repair path acquires client_mutex
   // under rs.mutex, never the reverse.

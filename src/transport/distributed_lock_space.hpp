@@ -216,9 +216,6 @@ class DistributedLockSpace {
     std::vector<std::uint8_t> acks;
     int acks_missing = 0;
     std::vector<QueuedFrame> queued;
-    /// Trees built for repaired worlds stay alive as long as their
-    /// protocol instances might dereference them.
-    std::vector<std::unique_ptr<topology::Tree>> trees;
     /// telemetry::now_ns() when this repair was first observed (0 = no
     /// repair in flight); spans deferrals, so fault.repair_ns measures
     /// what a waiting client experienced.

@@ -29,6 +29,10 @@ void set_nonblocking(int fd) {
   DMX_CHECK(::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0);
 }
 
+/// The loop a thread runs (nullptr off every loop thread): send() must
+/// not wait on backpressure from the one thread that drains outboxes.
+thread_local const EventLoop* tl_running_loop = nullptr;
+
 void set_nodelay(int fd) {
   // One frame per protocol event; Nagle would serialize the ping-pong
   // message patterns of every algorithm behind delayed ACKs.
@@ -38,10 +42,14 @@ void set_nodelay(int fd) {
 
 }  // namespace
 
-/// One TCP link. The fd, read buffer, and epoll registration belong to
-/// the loop thread; the outbox and its flags are shared with senders
-/// under `out_mutex`. Peers are reference-counted so a sender holding a
-/// pointer across teardown sees `closed` instead of freed memory.
+/// One TCP link. The read buffer and epoll registration belong to the
+/// loop thread; the outbox, `closed`, and every write to `fd` are shared
+/// with senders under `out_mutex`. A non-empty outbox means the loop owns
+/// pending bytes, so senders queue behind them instead of writing. `fd`
+/// is closed only after `closed` is set under `out_mutex`, so a sender
+/// can never write to a recycled fd number. Peers are reference-counted
+/// so a sender holding a pointer across teardown sees `closed` instead
+/// of freed memory.
 struct EventLoop::Peer {
   int fd = -1;
   /// kNilNode until identified (dialed peers are born identified;
@@ -79,9 +87,11 @@ EventLoop::EventLoop(EventLoopConfig config, FrameHandler on_frame,
 EventLoop::~EventLoop() {
   stop();
   for (auto& [fd, peer] : peers_by_fd_) {
+    {
+      std::lock_guard<std::mutex> guard(peer->out_mutex);
+      peer->closed = true;
+    }
     ::close(fd);
-    std::lock_guard<std::mutex> guard(peer->out_mutex);
-    peer->closed = true;
   }
   peers_by_fd_.clear();
   if (listen_fd_ >= 0) ::close(listen_fd_);
@@ -152,6 +162,13 @@ void EventLoop::connect(NodeId peer_id, std::uint16_t port) {
                                     /*resource=*/0, peer_id);
 }
 
+void EventLoop::expect(NodeId peer_id) {
+  DMX_CHECK_MSG(!running_.load(), "expect() must precede start()");
+  DMX_CHECK(peer_id >= 1 && peer_id != config_.self);
+  std::lock_guard<std::mutex> guard(peers_mutex_);
+  parked_.emplace(peer_id, std::string());
+}
+
 void EventLoop::start() {
   DMX_CHECK(!running_.exchange(true));
   thread_ = std::thread([this] { loop(); });
@@ -193,13 +210,25 @@ bool EventLoop::send(NodeId to, Epoch epoch, ResourceId resource,
   {
     std::lock_guard<std::mutex> guard(peers_mutex_);
     const auto it = peers_by_id_.find(to);
-    if (it == peers_by_id_.end()) return false;
+    if (it == peers_by_id_.end()) {
+      const auto parked = parked_.find(to);
+      if (parked == parked_.end()) return false;
+      // Expected but not identified yet: its HELLO flushes these bytes
+      // ahead of anything sent after it.
+      Codec::encode_frame(parked->second, epoch, resource, config_.self, to,
+                          message);
+      stats_.frames_sent.fetch_add(1, std::memory_order_relaxed);
+      telemetry::FlightRecorder::record(telemetry::FlightEvent::kFrameSend,
+                                        resource, to);
+      return true;
+    }
     peer = it->second;
   }
+  bool kick;
   {
     std::unique_lock<std::mutex> guard(peer->out_mutex);
     if (peer->closed) return false;
-    if (block_on_backpressure &&
+    if (block_on_backpressure && tl_running_loop != this &&
         peer->outbox.size() >= config_.outbox_high_watermark) {
       stats_.backpressure_waits.fetch_add(1, std::memory_order_relaxed);
       telemetry::FlightRecorder::record(
@@ -212,23 +241,34 @@ bool EventLoop::send(NodeId to, Epoch epoch, ResourceId resource,
       });
       if (peer->closed) return false;
     }
+    const bool direct = peer->outbox.empty();
     Codec::encode_frame(peer->outbox, epoch, resource, config_.self, to,
                         message);
-    const auto depth = static_cast<std::uint64_t>(peer->outbox.size());
-    std::uint64_t peak =
-        stats_.outbox_peak_bytes.load(std::memory_order_relaxed);
-    while (depth > peak && !stats_.outbox_peak_bytes.compare_exchange_weak(
-                               peak, depth, std::memory_order_relaxed)) {
+    telemetry::FlightRecorder::record(telemetry::FlightEvent::kFrameSend,
+                                      resource, to);
+    // Nothing queued ahead: hand the frame to the kernel here. A socket
+    // error leaves the bytes queued for the loop, which tears down.
+    if (direct) write_outbox_locked(*peer);
+    // Only the empty -> pending transition needs the loop told: bytes
+    // already pending are on the dirty list or have EPOLLOUT armed.
+    kick = direct && !peer->outbox.empty();
+    if (!peer->outbox.empty()) {
+      const auto depth = static_cast<std::uint64_t>(peer->outbox.size());
+      std::uint64_t peak =
+          stats_.outbox_peak_bytes.load(std::memory_order_relaxed);
+      while (depth > peak && !stats_.outbox_peak_bytes.compare_exchange_weak(
+                                 peak, depth, std::memory_order_relaxed)) {
+      }
     }
   }
   stats_.frames_sent.fetch_add(1, std::memory_order_relaxed);
-  telemetry::FlightRecorder::record(telemetry::FlightEvent::kFrameSend,
-                                    resource, to);
-  {
-    std::lock_guard<std::mutex> guard(dirty_mutex_);
-    dirty_.push_back(peer);
+  if (kick) {
+    {
+      std::lock_guard<std::mutex> guard(dirty_mutex_);
+      dirty_.push_back(std::move(peer));
+    }
+    wake();
   }
-  wake();
   return true;
 }
 
@@ -251,39 +291,47 @@ void EventLoop::arm(Peer& peer, bool want_write) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, peer.fd, &ev);
 }
 
+bool EventLoop::write_outbox_locked(Peer& peer) {
+  std::size_t sent = 0;
+  bool ok = true;
+  while (sent < peer.outbox.size()) {
+    const ssize_t n = ::send(peer.fd, peer.outbox.data() + sent,
+                             peer.outbox.size() - sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    ok = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+    break;
+  }
+  if (sent > 0) {
+    stats_.bytes_sent.fetch_add(sent, std::memory_order_relaxed);
+    peer.outbox.erase(0, sent);
+  }
+  return ok;
+}
+
 void EventLoop::flush(Peer& peer) {
-  bool below_low = false;
-  bool fatal = false;
+  bool ok;
+  bool below_low;
+  bool pending;
   {
     std::lock_guard<std::mutex> guard(peer.out_mutex);
     if (peer.closed) return;
-    while (!peer.outbox.empty()) {
-      const ssize_t n = ::send(peer.fd, peer.outbox.data(),
-                               peer.outbox.size(), MSG_NOSIGNAL);
-      if (n > 0) {
-        stats_.bytes_sent.fetch_add(static_cast<std::uint64_t>(n),
-                                    std::memory_order_relaxed);
-        peer.outbox.erase(0, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      fatal = true;
-      break;
-    }
+    ok = write_outbox_locked(peer);
     below_low = peer.outbox.size() < config_.outbox_low_watermark;
+    pending = !peer.outbox.empty();
   }
-  if (fatal) {
+  if (!ok) {
     drain_frames(peer);  // a buffered GOODBYE still classifies the close
     teardown(peer);
     return;
   }
   if (below_low) peer.out_cv.notify_all();
-  bool pending;
-  {
-    std::lock_guard<std::mutex> guard(peer.out_mutex);
-    pending = !peer.outbox.empty();
-  }
+  // A sender that finds the outbox empty after this read writes directly
+  // and kicks the loop itself if bytes remain, so a stale `pending` is
+  // harmless.
   arm(peer, pending);
 }
 
@@ -292,12 +340,14 @@ void EventLoop::teardown(Peer& peer) {
   const NodeId id = peer.id;
   const bool crashed = id != kNilNode && !peer.said_goodbye &&
                        !stopping_.load(std::memory_order_relaxed);
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  ::close(fd);
+  // Closed before the fd is: a sender mid-write holds out_mutex, and no
+  // later one can reach a recycled fd number.
   {
     std::lock_guard<std::mutex> guard(peer.out_mutex);
     peer.closed = true;
   }
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  ::close(fd);
   peer.out_cv.notify_all();
   if (id != kNilNode) {
     std::lock_guard<std::mutex> guard(peers_mutex_);
@@ -358,10 +408,21 @@ bool EventLoop::drain_frames(Peer& peer) {
                                 << header.from);
           peer.id = header.from;
           std::shared_ptr<Peer> self_ref = peers_by_fd_.at(peer.fd);
+          bool had_parked = false;
           {
             std::lock_guard<std::mutex> guard(peers_mutex_);
+            // Frames sent before this HELLO go out first: they move to
+            // the outbox before any sender can find the peer by id.
+            const auto parked = parked_.find(peer.id);
+            if (parked != parked_.end()) {
+              std::lock_guard<std::mutex> out_guard(peer.out_mutex);
+              peer.outbox.insert(0, parked->second);
+              had_parked = !parked->second.empty();
+              parked_.erase(parked);
+            }
             peers_by_id_.emplace(peer.id, std::move(self_ref));
           }
+          if (had_parked) arm(peer, true);  // flush on the next writable
           peers_cv_.notify_all();
           telemetry::FlightRecorder::record(telemetry::FlightEvent::kPeerUp,
                                             /*resource=*/0, peer.id);
@@ -426,6 +487,7 @@ void EventLoop::handle_readable(Peer& peer) {
 void EventLoop::handle_writable(Peer& peer) { flush(peer); }
 
 void EventLoop::loop() {
+  tl_running_loop = this;
   bool goodbyes_sent = false;
   std::chrono::steady_clock::time_point drain_deadline{};
   struct epoll_event events[64];

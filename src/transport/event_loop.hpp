@@ -2,22 +2,40 @@
 //
 // One EventLoop per process: a listening loopback TCP socket, one
 // non-blocking connection per peer node, and a single loop thread that
-// owns every file descriptor. The loop multiplexes with epoll; an eventfd
-// wakes it when application threads queue outbound frames or request
-// shutdown. All socket reads and writes happen on the loop thread — the
-// send path only appends encoded bytes to a peer's outbox under a short
-// mutex, so senders never block on the kernel.
+// owns every read, the accept path and the epoll registrations. send()
+// writes the encoded frame to the socket from the CALLING thread when
+// the peer has no queued bytes, so a hand-off costs no loop wake-up on
+// the sending side; only what the kernel does not take at once (a
+// partial write, EAGAIN, a socket error) is left in the peer's outbox
+// for the loop to flush, with an eventfd kick. Every write to a peer's
+// socket happens under its outbox mutex and only while the outbox is
+// empty or by the loop's flush, so a direct write never overtakes
+// queued bytes. The socket is non-blocking, so a sender never waits on
+// the kernel: it returns once the kernel or the outbox holds the frame.
+//
+// wire.frame_send is stamped at the enqueue: once the frame is encoded
+// into the peer's outbox (or, for a peer not yet identified, its parked
+// buffer), before any write — the same point on the direct and the
+// queued path, so the send -> recv stage always includes the write.
 //
 // Peer identity: the mesh convention is that node i dials every peer
 // j < i and accepts connections from every j > i (no duplicate links).
 // A dialed peer is identified immediately; an accepted one is anonymous
-// until its HELLO control frame arrives. send() to a not-yet-identified
-// peer fails — call wait_for_peers() before starting traffic.
+// until its HELLO control frame arrives. expect() names the peers that
+// will dial in: send() to one of them before its HELLO is processed
+// parks the frame, and the HELLO flushes parked frames ahead of any
+// later one. send() to a peer neither connected nor expected fails.
+// wait_for_peers() is a local condition only — a remote node may still
+// be identifying its own peers — which is why early frames are parked,
+// not dropped.
 //
 // Backpressure: each peer's outbox is bounded. When it passes the high
 // watermark, send() blocks the calling thread until the loop drains it
-// below the low watermark (the loop thread itself never blocks). Stats
-// record the peak outbox depth and how often senders had to wait.
+// below the low watermark. The loop thread itself never blocks: it is
+// the only thread that drains outboxes, and it can send (an event
+// handler running a protocol step inline), so past the high watermark
+// send() on the loop thread queues without waiting. Stats record the
+// peak outbox depth and how often senders had to wait.
 //
 // Disconnects: a peer that closes its socket after sending GOODBYE left
 // deliberately (process shutdown); anything else — EOF without GOODBYE,
@@ -73,8 +91,8 @@ struct EventLoopConfig {
 
 class EventLoop {
  public:
-  /// Delivery of one decoded protocol frame. Runs on the loop thread —
-  /// hand the message to a strand or queue, do not block.
+  /// Delivery of one decoded protocol frame. Runs on the loop thread; it
+  /// may run the protocol step inline and send(), but must not block.
   using FrameHandler =
       std::function<void(const FrameHeader&, net::MessagePtr)>;
   /// A peer crashed (disconnected without GOODBYE) or sent garbage.
@@ -96,8 +114,13 @@ class EventLoop {
   /// Call before start() (the mesh convention: dial every lower id).
   void connect(NodeId peer, std::uint16_t port);
 
-  /// Starts the loop thread. listen() and all connect() calls must be
-  /// done.
+  /// Declares that peer `peer` will dial in and identify with HELLO.
+  /// Until that HELLO is processed, send() to it parks the frame instead
+  /// of failing. Call before start(), for every higher id of the mesh.
+  void expect(NodeId peer);
+
+  /// Starts the loop thread. listen() and all connect() and expect()
+  /// calls must be done.
   void start();
 
   /// Sends GOODBYE to every peer, flushes outboxes, stops the loop
@@ -111,13 +134,16 @@ class EventLoop {
   /// (false). Use after start() to rendezvous the full mesh.
   bool wait_for_peers(int count, std::chrono::milliseconds timeout);
 
-  /// Encodes `message` into a frame and queues it to `to`'s outbox;
-  /// wakes the loop to flush. Returns false if the peer is unknown or
-  /// down. Blocks (briefly) on outbox backpressure unless
-  /// `block_on_backpressure` is false — pass false when calling from the
-  /// loop thread itself (repair announcements and acks), which must
-  /// never wait for a drain only it can perform. Thread-safe. Throws
-  /// net::WireError for a message class with no registered codec.
+  /// Encodes `message` into a frame for `to` and writes it to the socket
+  /// from the calling thread if nothing is queued for that peer; whatever
+  /// the kernel does not take stays in the outbox and the loop is woken
+  /// to flush it. A frame for an expected peer not yet identified is
+  /// parked (see expect()). Returns false if the peer is unknown or down.
+  /// Blocks (briefly) on outbox backpressure unless
+  /// `block_on_backpressure` is false or the caller is the loop thread
+  /// itself, which must never wait for a drain only it can perform. Pass
+  /// false while holding a lock the loop thread takes. Thread-safe.
+  /// Throws net::WireError for a message class with no registered codec.
   bool send(NodeId to, Epoch epoch, ResourceId resource,
             const net::Message& message, bool block_on_backpressure = true);
 
@@ -141,6 +167,10 @@ class EventLoop {
   /// Flushes as much outbox as the socket accepts; arms EPOLLOUT on a
   /// partial write. Loop thread only.
   void flush(Peer& peer);
+  /// Writes as much of `peer`'s outbox as the socket takes without
+  /// blocking. Caller holds `peer.out_mutex`. Returns false on a socket
+  /// error (the unsent bytes stay queued; the loop tears the peer down).
+  bool write_outbox_locked(Peer& peer);
   void arm(Peer& peer, bool want_write);
   /// Closes and forgets the peer; fires on_peer_down unless the peer said
   /// GOODBYE (or was never identified).
@@ -169,6 +199,10 @@ class EventLoop {
   mutable std::mutex peers_mutex_;
   std::condition_variable peers_cv_;
   std::unordered_map<NodeId, std::shared_ptr<Peer>> peers_by_id_;
+  /// Encoded frames for expected peers not yet identified, by node id
+  /// (guarded by peers_mutex_). An entry exists from expect() until the
+  /// peer's HELLO moves its bytes to the peer's outbox.
+  std::unordered_map<NodeId, std::string> parked_;
 
   /// Peers with freshly queued output, for the loop to flush on wake.
   std::mutex dirty_mutex_;

@@ -1,5 +1,6 @@
 // Tests for the execution substrate: the Chase–Lev deque, the
-// work-stealing Executor, and Strand serialization.
+// work-stealing Executor, and Strand serialization (pool activations and
+// inline drains on the posting thread).
 //
 // The strand property test is the load-bearing one: per-strand FIFO and
 // no-concurrent-execution are exactly the guarantees the threaded lock
@@ -309,6 +310,122 @@ TEST(StrandTest, TasksRunInPostOrderWithoutOverlapUnderEightWorkers) {
       ASSERT_EQ(state.order[static_cast<std::size_t>(i)], i)
           << "strand " << s << " position " << i;
     }
+  }
+}
+
+TEST(StrandTest, InlineDrainsKeepPostOrderWithoutOverlapUnderEightWorkers) {
+  // The same FIFO and no-overlap property with activations that run on
+  // the posting threads: every other post is a post_claim() whose caller
+  // drains the strand itself when it was idle, so app-thread drains and
+  // pool activations of one strand interleave.
+  constexpr int kStrands = 12;
+  constexpr int kTasksPerStrand = 400;
+  Executor executor(ExecutorConfig{8, 16});
+
+  struct StrandState {
+    std::unique_ptr<Strand> strand;
+    std::vector<int> order;          // written only by strand tasks
+    std::atomic<int> in_flight{0};   // 1 while a task runs
+    std::atomic<int> overlaps{0};
+    std::atomic<int> executed{0};
+    std::atomic<int> inline_drains{0};
+  };
+  std::vector<StrandState> strands(kStrands);
+  for (auto& state : strands) {
+    state.strand = std::make_unique<Strand>(executor);
+    state.order.reserve(kTasksPerStrand);
+  }
+
+  std::vector<std::thread> posters;
+  for (int p = 0; p < 4; ++p) {
+    posters.emplace_back([&strands, p] {
+      for (int i = 0; i < kTasksPerStrand; ++i) {
+        for (int s = p; s < kStrands; s += 4) {
+          StrandState& state = strands[static_cast<std::size_t>(s)];
+          Strand::Task task = [&state, i] {
+            if (state.in_flight.fetch_add(1) != 0) {
+              state.overlaps.fetch_add(1);
+            }
+            state.order.push_back(i);
+            state.in_flight.fetch_sub(1);
+            state.executed.fetch_add(1);
+          };
+          if (i % 2 == 1) {
+            state.strand->post(std::move(task));
+          } else if (state.strand->post_claim(std::move(task))) {
+            state.inline_drains.fetch_add(1);
+            state.strand->drain();
+          }
+        }
+      }
+    });
+  }
+  for (auto& poster : posters) poster.join();
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  for (auto& state : strands) {
+    while (state.executed.load() < kTasksPerStrand &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  }
+  executor.shutdown();
+
+  for (int s = 0; s < kStrands; ++s) {
+    StrandState& state = strands[static_cast<std::size_t>(s)];
+    EXPECT_EQ(state.overlaps.load(), 0) << "strand " << s;
+    // The first post found the strand idle, so at least one activation
+    // ran on the posting thread.
+    EXPECT_GE(state.inline_drains.load(), 1) << "strand " << s;
+    EXPECT_EQ(state.strand->executed(),
+              static_cast<std::uint64_t>(kTasksPerStrand));
+    ASSERT_EQ(state.order.size(), static_cast<std::size_t>(kTasksPerStrand))
+        << "strand " << s;
+    for (int i = 0; i < kTasksPerStrand; ++i) {
+      ASSERT_EQ(state.order[static_cast<std::size_t>(i)], i)
+          << "strand " << s << " position " << i;
+    }
+  }
+}
+
+TEST(StrandTest, DrainRunsOneBatchInlineAndHandsTheRestToThePool) {
+  // An inline drain is bounded like a pool activation: facing more than
+  // kBatch tasks it runs kBatch of them on the calling thread, returns,
+  // and the pool runs the remainder, still in post order.
+  constexpr int kTasks = 2 * Strand::kBatch + 5;
+  Executor executor(ExecutorConfig{1, 8});
+  Strand strand(executor);
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;  // written only by strand tasks
+  std::atomic<int> on_caller{0};
+  std::atomic<int> done{0};
+  const auto task = [&](int i) {
+    return [&, i] {
+      order.push_back(i);
+      if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+      done.fetch_add(1);
+    };
+  };
+  ASSERT_TRUE(strand.post_claim(task(0)));  // idle: the caller owns it
+  // The strand is claimed, so these only queue; no worker runs them.
+  for (int i = 1; i < kTasks; ++i) EXPECT_FALSE(strand.post_claim(task(i)));
+  EXPECT_EQ(done.load(), 0);
+
+  strand.drain();
+  EXPECT_EQ(on_caller.load(), Strand::kBatch);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (done.load() < kTasks && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  executor.shutdown();
+  EXPECT_EQ(on_caller.load(), Strand::kBatch);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
+  for (int i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
   }
 }
 

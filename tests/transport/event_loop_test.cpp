@@ -1,16 +1,22 @@
 // EventLoop tests: two in-process loops rendezvous over loopback TCP and
 // exchange protocol frames; a raw socket exercises partial-frame
-// reassembly, the GOODBYE-vs-crash disconnect distinction, and corrupt
-// stream rejection.
+// reassembly, the GOODBYE-vs-crash disconnect distinction, corrupt
+// stream rejection, frames parked for a peer not yet identified, and the
+// direct-write send path under a full socket and a racing teardown.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -61,12 +67,25 @@ struct Sink {
   }
 };
 
-/// Raw blocking loopback client for byte-level protocol tests.
+/// Raw blocking loopback client for byte-level protocol tests. A
+/// non-zero `rcvbuf` shrinks its receive buffer before connecting, so the
+/// sending side's socket fills after a few kilobytes the client has not
+/// read. Reads time out after 10 s instead of hanging a broken test.
 class RawClient {
  public:
-  explicit RawClient(std::uint16_t port) {
+  explicit RawClient(std::uint16_t port, int rcvbuf = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd_, 0);
+    if (rcvbuf > 0) {
+      EXPECT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                             sizeof(rcvbuf)),
+                0);
+    }
+    timeval timeout{};
+    timeout.tv_sec = 10;
+    EXPECT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -93,6 +112,58 @@ class RawClient {
       write_all(bytes.substr(at, chunk));
       std::this_thread::sleep_for(2ms);
     }
+  }
+
+  /// Reads exactly `count` bytes; returns fewer only on EOF, error, or
+  /// the read timeout.
+  std::string read_exact(std::size_t count) {
+    std::string bytes(count, '\0');
+    std::size_t done = 0;
+    while (done < count) {
+      const ssize_t n = ::recv(fd_, bytes.data() + done, count - done, 0);
+      if (n <= 0) break;
+      done += static_cast<std::size_t>(n);
+    }
+    bytes.resize(done);
+    return bytes;
+  }
+
+  /// Reads one frame and decodes it; false on a short read.
+  bool read_frame(FrameHeader& header, net::MessagePtr& message) {
+    const std::string prefix = read_exact(4);
+    if (prefix.size() != 4) return false;
+    net::WireReader length_reader(prefix);
+    const std::uint32_t length = length_reader.u32();
+    const std::string body = read_exact(length);
+    if (body.size() != length) return false;
+    net::WireReader r(body);
+    header = Codec::decode_header(r);
+    message = Codec::decode(header.wire_id, r);
+    return true;
+  }
+
+  /// Shrinks the send buffer of the OTHER end of this connection — the
+  /// loop's socket, found by its peer address — so the loop-side kernel
+  /// buffer holds only a few kilobytes and writes beyond it go partial.
+  /// Call once the loop has accepted the connection.
+  void shrink_loop_side_sndbuf(int bytes) const {
+    sockaddr_in self{};
+    socklen_t len = sizeof(self);
+    ASSERT_EQ(::getsockname(fd_, reinterpret_cast<sockaddr*>(&self), &len),
+              0);
+    for (int fd = 0; fd < 4096; ++fd) {
+      sockaddr_in peer{};
+      len = sizeof(peer);
+      if (fd == fd_ ||
+          ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) != 0 ||
+          peer.sin_family != AF_INET || peer.sin_port != self.sin_port) {
+        continue;
+      }
+      ASSERT_EQ(
+          ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes)), 0);
+      return;
+    }
+    FAIL() << "no socket is peered with the raw client";
   }
 
   void close() {
@@ -332,6 +403,215 @@ TEST(EventLoop, UnknownWireIdIsRejectedNotDelivered) {
   ASSERT_TRUE(sink.wait_down(2000ms));
   EXPECT_EQ(sink.downs[0], 6);
   EXPECT_TRUE(sink.frames.empty());
+  loop.stop();
+}
+
+TEST(EventLoop, FrameToAnExpectedPeerWaitsForItsHello) {
+  // Regression for the mesh start-up race: a peer has connected but its
+  // HELLO is not processed yet, and the owner already routes a frame to
+  // it (a forwarded REQUEST, say). The frame must be parked and flushed
+  // once the peer identifies, ahead of any later frame — not dropped.
+  Sink sink;
+  EventLoop loop({.self = 1}, sink.frame_handler(), sink.down_handler());
+  const std::uint16_t port = loop.listen();
+  loop.expect(9);
+  loop.start();
+
+  RawClient client(port);  // connected, silent: not identified
+  EXPECT_EQ(loop.connected_peers(), 0);
+  EXPECT_TRUE(loop.send(9, /*epoch=*/4, /*resource=*/2,
+                        core::RequestMessage(1, 1)));
+  // A peer neither connected nor expected still fails.
+  EXPECT_FALSE(loop.send(8, 0, 0, core::PrivilegeMessage()));
+
+  std::string hello;
+  Codec::encode_control_frame(hello, kHelloWireId, /*from=*/9);
+  client.write_all(hello);
+  ASSERT_TRUE(loop.wait_for_peers(1, 2000ms));
+  EXPECT_TRUE(loop.send(9, /*epoch=*/4, /*resource=*/3,
+                        core::PrivilegeMessage()));
+
+  FrameHeader header;
+  net::MessagePtr message;
+  ASSERT_TRUE(client.read_frame(header, message));
+  EXPECT_EQ(header.from, 1);
+  EXPECT_EQ(header.to, 9);
+  EXPECT_EQ(header.epoch, 4u);
+  EXPECT_EQ(header.resource, 2);
+  EXPECT_EQ(message->encode(), core::RequestMessage(1, 1).encode());
+  ASSERT_TRUE(client.read_frame(header, message));
+  EXPECT_EQ(header.resource, 3);
+  EXPECT_EQ(message->encode(), core::PrivilegeMessage().encode());
+
+  loop.stop();
+  EXPECT_FALSE(loop.first_error().has_value());
+}
+
+TEST(EventLoop, ConcurrentSendersThroughAFullSocketKeepEachSendersOrder) {
+  // Two threads send through a socket with a tiny send buffer to a peer
+  // that reads nothing until they are done: the direct writes go partial,
+  // then hit EAGAIN, and the rest queues behind them. Every frame must
+  // arrive intact and in each sender's order (resource = sender, epoch =
+  // sequence number).
+  constexpr int kSenders = 2;
+  constexpr std::uint32_t kFrames = 20000;
+  Sink sink;
+  EventLoop loop({.self = 1}, sink.frame_handler(), sink.down_handler());
+  const std::uint16_t port = loop.listen();
+  loop.start();
+
+  RawClient client(port, /*rcvbuf=*/4096);
+  std::string hello;
+  Codec::encode_control_frame(hello, kHelloWireId, /*from=*/9);
+  client.write_all(hello);
+  ASSERT_TRUE(loop.wait_for_peers(1, 2000ms));
+  client.shrink_loop_side_sndbuf(4096);
+
+  std::atomic<int> refused{0};
+  std::vector<std::thread> senders;
+  for (int t = 0; t < kSenders; ++t) {
+    senders.emplace_back([&loop, &refused, t] {
+      for (std::uint32_t seq = 0; seq < kFrames; ++seq) {
+        if (!loop.send(9, seq, t, core::RequestMessage(1, 1))) {
+          refused.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& sender : senders) sender.join();
+  EXPECT_EQ(refused.load(), 0);
+  // The socket filled: part of the stream went through the outbox.
+  EXPECT_GT(loop.stats().outbox_peak_bytes.load(), 0u);
+
+  std::vector<std::uint32_t> next(kSenders, 0);
+  for (std::uint32_t i = 0; i < kSenders * kFrames; ++i) {
+    FrameHeader header;
+    net::MessagePtr message;
+    ASSERT_TRUE(client.read_frame(header, message)) << "frame " << i;
+    ASSERT_GE(header.resource, 0);
+    ASSERT_LT(header.resource, kSenders);
+    ASSERT_EQ(header.epoch,
+              next[static_cast<std::size_t>(header.resource)]++)
+        << "sender " << header.resource;
+    ASSERT_EQ(message->encode(), core::RequestMessage(1, 1).encode());
+  }
+  loop.stop();
+  EXPECT_FALSE(loop.first_error().has_value());
+}
+
+TEST(EventLoop, HandlerSendingPastTheHighWatermarkDoesNotBlockTheLoop) {
+  // A frame handler runs on the loop thread, the only thread that drains
+  // outboxes. When it sends far past the high watermark to a peer that
+  // reads nothing, send() must queue instead of waiting for a drain only
+  // the blocked loop could perform.
+  constexpr int kBurst = 20000;  // ~480 KB against a 4 KB watermark
+  EventLoopConfig config{.self = 1};
+  config.outbox_high_watermark = 4096;
+  config.outbox_low_watermark = 1024;
+  std::atomic<int> handled{0};
+  EventLoop* loop_ptr = nullptr;
+  EventLoop loop(
+      config,
+      [&handled, &loop_ptr](const FrameHeader&, net::MessagePtr) {
+        for (int i = 0; i < kBurst; ++i) {
+          loop_ptr->send(9, static_cast<Epoch>(i), 0,
+                         core::PrivilegeMessage());
+        }
+        handled.fetch_add(1);
+      },
+      nullptr);
+  loop_ptr = &loop;
+  const std::uint16_t port = loop.listen();
+  loop.start();
+
+  RawClient client(port, /*rcvbuf=*/4096);
+  std::string hello;
+  Codec::encode_control_frame(hello, kHelloWireId, /*from=*/9);
+  client.write_all(hello);
+  ASSERT_TRUE(loop.wait_for_peers(1, 2000ms));
+  client.shrink_loop_side_sndbuf(4096);
+  std::string first;
+  Codec::encode_frame(first, 0, 0, /*from=*/9, /*to=*/1,
+                      core::RequestMessage(9, 9));
+  client.write_all(first);
+
+  // A second trigger must be handled too: the loop came back from the
+  // first burst and still reads.
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (handled.load() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  std::string second;
+  Codec::encode_frame(second, 0, 0, /*from=*/9, /*to=*/1,
+                      core::RequestMessage(9, 9));
+  client.write_all(second);
+  while (handled.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  if (handled.load() != 2) {
+    // A loop thread parked on its own outbox can never be joined: fail
+    // loudly instead of hanging in the destructor.
+    std::fprintf(stderr, "the loop thread blocked on backpressure\n");
+    std::abort();
+  }
+  EXPECT_EQ(loop.stats().backpressure_waits.load(), 0u);
+  EXPECT_GT(loop.stats().outbox_peak_bytes.load(), config.outbox_high_watermark);
+
+  // Reading everything releases the queued bytes in order.
+  for (int i = 0; i < 2 * kBurst; ++i) {
+    FrameHeader header;
+    net::MessagePtr message;
+    ASSERT_TRUE(client.read_frame(header, message)) << "frame " << i;
+    ASSERT_EQ(header.epoch, static_cast<Epoch>(i % kBurst));
+  }
+  loop.stop();
+}
+
+TEST(EventLoop, SendRacingTeardownFailsAndNeverWritesARecycledFd) {
+  // Senders hammer a peer while it resets its connection. Once the loop
+  // tears the peer down, every send() returns false, and none may write
+  // to the closed fd number — which the pipes opened right after the
+  // teardown are likely to reuse; any byte in them is a stray write.
+  Sink sink;
+  EventLoop loop({.self = 1}, sink.frame_handler(), sink.down_handler());
+  const std::uint16_t port = loop.listen();
+  loop.start();
+
+  RawClient client(port);
+  std::string hello;
+  Codec::encode_control_frame(hello, kHelloWireId, /*from=*/9);
+  client.write_all(hello);
+  ASSERT_TRUE(loop.wait_for_peers(1, 2000ms));
+
+  std::atomic<int> started{0};
+  std::vector<std::thread> senders;
+  for (int t = 0; t < 2; ++t) {
+    senders.emplace_back([&loop, &started, t] {
+      started.fetch_add(1);
+      while (loop.send(9, 0, t, core::PrivilegeMessage())) {
+      }
+    });
+  }
+  while (started.load() < 2) std::this_thread::yield();
+  std::this_thread::sleep_for(5ms);
+  client.reset_close();
+  ASSERT_TRUE(sink.wait_down(5000ms));
+  EXPECT_EQ(sink.downs[0], 9);
+
+  std::vector<int> pipe_fds;
+  for (int i = 0; i < 16; ++i) {
+    int fds[2];
+    ASSERT_EQ(::pipe2(fds, O_NONBLOCK | O_CLOEXEC), 0);
+    pipe_fds.push_back(fds[0]);
+    pipe_fds.push_back(fds[1]);
+  }
+  for (auto& sender : senders) sender.join();  // every sender saw false
+  EXPECT_FALSE(loop.send(9, 0, 0, core::PrivilegeMessage()));
+  for (std::size_t i = 0; i < pipe_fds.size(); i += 2) {
+    char byte;
+    EXPECT_LT(::read(pipe_fds[i], &byte, 1), 0) << "stray write to a pipe";
+  }
+  for (const int fd : pipe_fds) ::close(fd);
   loop.stop();
 }
 
