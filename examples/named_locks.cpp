@@ -1,9 +1,9 @@
 // A multi-resource lock service: worker threads on N nodes update a set
 // of named bank accounts, each account protected by its own distributed
 // lock (one Neilsen DAG protocol instance per account, all carried by the
-// same N mailbox threads). Transfers lock two accounts in a global order
-// — per-account exclusivity makes every balance transfer atomic, and the
-// conserved total is the arithmetic proof.
+// same pool of strand workers). Transfers lock two accounts in a global
+// order — per-account exclusivity makes every balance transfer atomic, and
+// the conserved total is the arithmetic proof.
 //
 //   $ ./named_locks [nodes] [accounts] [transfers]
 #include <cstdlib>

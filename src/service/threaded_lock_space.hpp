@@ -1,15 +1,13 @@
 // Multi-resource lock service on the multi-threaded runtime.
 //
-// Execution substrate: every (resource, node) protocol state machine owns
-// an exec::Strand — a serialized task queue — and all strands of all
-// nodes share ONE work-stealing worker pool (exec::Executor). Message
-// delivery, request and release are strand-enqueued tasks, so each state
-// machine keeps the paper's one-event-at-a-time semantics while
-// independent resources (even on the same node) run in parallel across
-// the pool. This replaces the PR-3 architecture of one mailbox event-loop
-// thread per node, which serialized every resource of a node behind one
-// thread and capped the service at ~1.6x a single resource no matter how
-// many resources it carried.
+// Execution substrate: every (resource, node) pair is one NodeRuntime
+// (node_runtime.hpp) — a protocol state machine on its own exec::Strand,
+// with the client gate and the chaining lease — and all strands of all
+// nodes share ONE work-stealing worker pool (exec::Executor). The space
+// itself is the runtimes' in-process link: a protocol message is a task
+// posted to the destination runtime's strand. Each state machine keeps
+// the paper's one-event-at-a-time semantics while independent resources
+// (even on the same node) run in parallel across the pool.
 //
 // The client API is blocking: lock(r, v) parks the calling application
 // thread until node v holds resource r's critical section; ScopedLock is
@@ -17,6 +15,9 @@
 // (resource, node) pair — local waiters queue behind one protocol request
 // at a time (the paper's one-outstanding-request precondition), and the
 // resource hands off locally before the next protocol round trip.
+//
+// Crash faults are injected with crash()/recover(); repair is centralised
+// here (quorum election, epoch fence, fresh compact-world install).
 //
 // Safety instrumentation: per-resource occupancy counters assert that no
 // two nodes are ever inside one resource's critical section (violations
@@ -37,27 +38,14 @@
 #include "common/types.hpp"
 #include "exec/executor.hpp"
 #include "fault/membership.hpp"
-#include "net/message_kind.hpp"
 #include "proto/algorithm.hpp"
-#include "proto/mutex_node.hpp"
 #include "service/directory.hpp"
 #include "service/lease.hpp"
+#include "service/node_runtime.hpp"
 #include "telemetry/telemetry.hpp"
 #include "topology/tree.hpp"
 
 namespace dmx::service {
-
-/// Outcome of a bounded-wait lock attempt.
-enum class LockError {
-  kOk = 0,
-  /// The wait deadline passed without a grant; the request stays posted
-  /// and a grant that arrives with nobody waiting is released back.
-  kTimeout,
-  /// The lock can never be granted: the calling node has crashed, or the
-  /// resource is dead (its token died with a crashed node and recovery is
-  /// disabled or lacks a live majority).
-  kUnavailable,
-};
 
 struct ThreadedLockSpaceConfig {
   int n = 0;
@@ -94,7 +82,8 @@ struct ThreadedLockSpaceConfig {
   LeaseConfig lease;
 };
 
-class ThreadedLockSpace {
+/// The space is the link of its own runtimes (see send()).
+class ThreadedLockSpace final : private Link {
  public:
   explicit ThreadedLockSpace(ThreadedLockSpaceConfig config);
   ~ThreadedLockSpace();
@@ -122,8 +111,8 @@ class ThreadedLockSpace {
   /// instead of blocking forever.
   LockError try_lock_for(ResourceId r, NodeId v,
                          std::chrono::milliseconds timeout);
-  /// Leaves the critical section; must be called by the holder. After a
-  /// crash, a zombie holder's unlock is tolerated as a no-op ghost.
+  /// Leaves the critical section; must be called by the holder. A holder
+  /// whose node crash() took the lock away unlocks as a no-op ghost.
   void unlock(ResourceId r, NodeId v);
 
   /// Crash-fault injection: node `v` dies in place. Its strand tasks are
@@ -150,10 +139,10 @@ class ThreadedLockSpace {
   /// still queued (the token went back to the protocol anyway — the
   /// bounded-waiting cap at work).
   std::uint64_t chained_grants() const {
-    return chained_grants_.load(std::memory_order_relaxed);
+    return space_.chained_grants.load(std::memory_order_relaxed);
   }
   std::uint64_t lease_yields() const {
-    return lease_yields_.load(std::memory_order_relaxed);
+    return space_.lease_yields.load(std::memory_order_relaxed);
   }
   /// Application threads of node `v` currently parked in lock() /
   /// try_lock_for() on `r`. Test observability for the FIFO hand-off
@@ -169,10 +158,9 @@ class ThreadedLockSpace {
   telemetry::MetricsSnapshot telemetry_snapshot() const;
 
  private:
-  struct ResourceNode;
-
   /// Per-resource repair bookkeeping; `mutex` serializes repairs against
-  /// each other and against the holder checks in unlock().
+  /// each other and against the deferred-repair check in unlock(). Lock
+  /// order: RepairState::mutex before a runtime's gate mutex.
   struct RepairState {
     std::mutex mutex;
     /// Repair requested while a live survivor held the lock; the holder's
@@ -186,78 +174,36 @@ class ThreadedLockSpace {
     fault::Membership membership;
   };
 
-  /// Per-resource interned metric ids and token-kind set, resolved once
-  /// at construction so the hot paths never touch the registry's mutex.
-  struct ResourceTelemetry {
-    telemetry::HistogramId wait_ns;
-    telemetry::CounterId ok;
-    telemetry::CounterId timeouts;
-    telemetry::CounterId unavailable;
-    /// Interned kinds of this resource's token-carrying messages, for
-    /// flight-recording token forwards in route().
-    std::vector<net::MessageKind> token_kinds;
-  };
-
-  ResourceNode& rn(ResourceId r, NodeId v);
-  void route(ResourceId r, NodeId from, NodeId to, net::MessagePtr message,
-             Epoch tag);
-  /// Flips resource `r` unavailable, stamping the window start once.
-  void mark_unavailable(ResourceId r);
-  void record_error(const std::string& what);
-  /// Records the error, then releases every parked application thread —
-  /// no grant is ever coming once a protocol handler has thrown.
-  void fail(const std::string& what);
+  NodeRuntime& runtime(ResourceId r, NodeId v);
+  ResourceState& resource(ResourceId r) const;
+  /// The in-process link: posts the message to the destination runtime's
+  /// strand, dropping traffic to and from dead nodes.
+  void send(ResourceId r, NodeId from, NodeId to, net::MessagePtr message,
+            Epoch epoch) override;
   /// Repairs resource `r` if its membership is stale: elects a winner by
   /// quorum consent, bumps the epoch (fencing every queued old-world
-  /// task), installs fresh compact-world instances via per-strand reset
-  /// tasks, and re-issues requests for nodes with parked waiters. Defers
-  /// (pending) while a live node holds the lock; marks the resource
-  /// unavailable when no live majority exists.
+  /// task), installs fresh compact-world instances, and re-issues
+  /// requests for nodes with parked waiters. Defers (pending) while a
+  /// live node holds the lock; marks the resource unavailable when no
+  /// live majority exists.
   void maybe_repair(ResourceId r);
   /// Wakes every parked waiter of resource `r` (predicate re-check).
   void wake_all(ResourceId r);
-  LockError wait_for_grant(ResourceId r, NodeId v,
-                           const std::chrono::milliseconds* timeout);
 
   ThreadedLockSpaceConfig config_;
   Directory directory_;
   exec::Executor executor_;
-  std::vector<proto::Algorithm> algorithms_;  // by ResourceId
-  /// (resource, node) state machines, indexed r * n + (v - 1). Destroyed
-  /// after the executor stops, which drops their queued tasks unrun.
-  std::vector<std::unique_ptr<ResourceNode>> nodes_;
-  /// Liveness by node id (index 1..n) and dead-resource flags by id.
+  SpaceState space_;
+  std::vector<std::unique_ptr<ResourceState>> resources_;  // by ResourceId
+  /// Liveness by node id (index 1..n); crash() and recover() flip it.
   std::unique_ptr<std::atomic<bool>[]> node_down_;
-  std::unique_ptr<std::atomic<bool>[]> unavailable_;
-  /// Current reconfiguration epoch by ResourceId; tasks posted from
-  /// application threads are tagged with it and fenced on mismatch.
-  std::unique_ptr<std::atomic<Epoch>[]> resource_epoch_;
+  /// (resource, node) runtimes, indexed r * n + (v - 1). Destroyed after
+  /// the executor stops, which drops their queued tasks unrun.
+  std::vector<std::unique_ptr<NodeRuntime>> runtimes_;
   std::vector<std::unique_ptr<RepairState>> repair_;  // by ResourceId
-  /// Initial token holder by ResourceId (the resource's "home" for
-  /// token-loss detection when recovery is disabled).
-  std::vector<NodeId> initial_holder_;
-  /// Any crash ever injected (enables ghost-unlock tolerance).
-  std::atomic<bool> fault_active_{false};
-  /// Per-resource occupancy (0 or 1 when exclusion holds) and entry
-  /// counts, indexed by ResourceId.
-  std::unique_ptr<std::atomic<int>[]> occupancy_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> entries_;
   std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> chained_grants_{0};
-  std::atomic<std::uint64_t> lease_yields_{0};
-  std::atomic<bool> failed_{false};
-
-  std::vector<ResourceTelemetry> resource_telemetry_;  // by ResourceId
-  telemetry::HistogramId hold_hist_;
-  telemetry::HistogramId chain_hist_;
   telemetry::HistogramId repair_hist_;
   telemetry::HistogramId unavail_hist_;
-  /// telemetry::now_ns() when resource r last became unavailable (0 when
-  /// it is not); closes the fault.unavail_window_ns histogram on repair.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> unavailable_since_ns_;
-
-  mutable std::mutex error_mutex_;
-  std::optional<std::string> first_error_;
 };
 
 /// RAII holder: locks on construction, unlocks on destruction. Move-only.

@@ -1,13 +1,10 @@
 #include "transport/distributed_lock_space.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <utility>
 
 #include "common/check.hpp"
-#include "exec/strand.hpp"
 #include "quorum/election.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "transport/repair_messages.hpp"
@@ -22,200 +19,11 @@ constexpr std::size_t kMaxQueuedFrames = 4096;
 
 }  // namespace
 
-/// This process's protocol state machine for one resource, with its
-/// strand and the client gate bridging application threads and strand
-/// tasks — the single-node cut of ThreadedLockSpace::ResourceNode,
-/// including its crash fencing: every protocol task carries the epoch it
-/// was minted in and drops itself when it no longer matches the strand's.
-/// A repair installs a fresh compact-world instance via an unfenced reset
-/// task; post-repair the instance lives in the survivor world, so the
-/// Context speaks ranks to it while the wire keeps original ids.
-struct DistributedLockSpace::ResourceNode {
-  ResourceNode(DistributedLockSpace& space, ResourceId resource)
-      : space(space), resource(resource), strand(space.executor_),
-        context(*this) {}
-
-  class Context final : public proto::Context {
-   public:
-    explicit Context(ResourceNode& rn) : rn_(rn) {}
-    NodeId self() const override {
-      return rn_.membership != nullptr
-                 ? rn_.membership->rank_of(rn_.space.config_.self)
-                 : rn_.space.config_.self;
-    }
-    int cluster_size() const override {
-      return rn_.membership != nullptr ? rn_.membership->size()
-                                       : rn_.space.config_.n;
-    }
-    void send(NodeId to, net::MessagePtr message) override {
-      const NodeId to_original =
-          rn_.membership != nullptr ? rn_.membership->original_of(to) : to;
-      rn_.space.route(rn_.resource, to_original, std::move(message),
-                      rn_.epoch);
-    }
-    void grant() override { rn_.on_grant(); }
-
-   private:
-    ResourceNode& rn_;
-  };
-
-  // --- Strand tasks --------------------------------------------------------
-
-  bool fenced(Epoch tag) const { return tag != epoch; }
-
-  void deliver(Epoch tag, NodeId from, net::MessagePtr message) {
-    if (space.failed_.load(std::memory_order_relaxed)) return;
-    if (fenced(tag)) return;
-    try {
-      node->on_message(context,
-                       membership != nullptr ? membership->rank_of(from)
-                                             : from,
-                       *message);
-    } catch (const std::exception& e) {
-      space.fail(e.what());
-    }
-    publish_remote_pending();
-  }
-
-  void request(Epoch tag) {
-    if (space.failed_.load(std::memory_order_relaxed)) return;
-    if (fenced(tag)) return;
-    // A repair's re-issue may have beaten this task into the new world
-    // (one outstanding protocol request per node, ever).
-    if (request_outstanding) return;
-    request_outstanding = true;
-    try {
-      node->request_cs(context);
-    } catch (const std::exception& e) {
-      space.fail(e.what());
-    }
-    publish_remote_pending();
-  }
-
-  void release(Epoch tag) {
-    if (space.failed_.load(std::memory_order_relaxed)) return;
-    if (fenced(tag)) return;
-    request_outstanding = false;
-    try {
-      node->release_cs(context);
-    } catch (const std::exception& e) {
-      space.fail(e.what());
-    }
-    publish_remote_pending();
-  }
-
-  /// Post-repair request re-issue: the pre-repair protocol request died
-  /// with the old epoch, so if application threads are still parked (or a
-  /// request was posted and fenced), ask again in the fresh world —
-  /// unless a new-epoch request task already ran here.
-  void rerequest(Epoch tag) {
-    if (space.failed_.load(std::memory_order_relaxed)) return;
-    if (fenced(tag)) return;
-    if (request_outstanding) return;
-    bool want = false;
-    {
-      std::lock_guard<std::mutex> guard(client_mutex);
-      want = requested || waiting > 0;
-      requested = want;
-    }
-    if (!want) return;
-    request_outstanding = true;
-    try {
-      node->request_cs(context);
-    } catch (const std::exception& e) {
-      space.fail(e.what());
-    }
-    publish_remote_pending();
-  }
-
-  /// Publishes node->has_remote_request() at the end of every strand
-  /// task, so a holder's release can consult it without touching
-  /// strand-confined state. The value may lag by an in-flight frame —
-  /// the lease cap, not this hint, carries the bounded-waiting
-  /// guarantee; the hint only decides whether a cap-expired lease may
-  /// renew in place.
-  void publish_remote_pending() {
-    remote_pending.store(node->has_remote_request(),
-                         std::memory_order_relaxed);
-  }
-
-  void on_grant() {
-    bool hand_off = false;
-    {
-      std::lock_guard<std::mutex> guard(client_mutex);
-      if (waiting > 0) {
-        granted = true;
-        granted_epoch = epoch;
-        grant_via_chain = false;
-        hand_off = true;
-      } else {
-        // Every waiter timed out; hand the CS straight back so the
-        // resource keeps flowing (mirrors the threaded substrate).
-        requested = false;
-      }
-    }
-    if (hand_off) {
-      client_cv.notify_all();
-      return;
-    }
-    const Epoch tag = epoch;  // on_grant runs on the strand
-    strand.post([this, tag] { release(tag); });
-  }
-
-  DistributedLockSpace& space;
-  ResourceId resource;
-  exec::Strand strand;
-  std::unique_ptr<proto::MutexNode> node;  // strand-confined
-  /// Reconfiguration epoch this strand's instance belongs to and, post-
-  /// repair, the compact membership it speaks. Strand-confined; written
-  /// only by reset tasks.
-  Epoch epoch = 0;
-  std::shared_ptr<const fault::Membership> membership;
-  /// Whether this world's instance has an unreleased protocol request in
-  /// flight — dedupes the client's posted request against a repair's
-  /// re-issue. Strand-confined; cleared by release and by reset.
-  bool request_outstanding = false;
-  Context context;
-
-  /// Local waiters and grant hand-off; client_mutex guards every field
-  /// below except the trailing atomic.
-  std::mutex client_mutex;
-  std::condition_variable client_cv;
-  int waiting = 0;
-  bool requested = false;
-  bool granted = false;
-  /// Arrival-order tickets of the parked waiters: a grant (protocol or
-  /// chained) is consumed only by the waiter whose ticket is at the
-  /// front, so same-node waiters cannot overtake each other.
-  std::deque<std::uint64_t> fifo;
-  std::uint64_t ticket_seq = 0;
-  /// Consecutive local hand-offs in the current lease window, and
-  /// telemetry::now_ns() when the window opened (its first grant).
-  int chain_len = 0;
-  std::uint64_t chain_started_ns = 0;
-  /// Epoch the current holder's grant was minted in; a release chains
-  /// only while it still matches the resource's epoch (no repair since).
-  Epoch held_epoch = 0;
-  /// Whether the pending grant rode the local chain (keeps the lease
-  /// window open) or came from the protocol (opens a fresh window).
-  bool grant_via_chain = false;
-  /// Epoch the pending grant was minted in: the consumer revalidates it
-  /// against the resource's current epoch, so a grant from a world a
-  /// repair has since fenced is discarded instead of entering the CS
-  /// alongside the regenerated token.
-  Epoch granted_epoch = 0;
-  bool held = false;
-  /// telemetry::now_ns() when the current holder entered (0 = not held).
-  std::uint64_t hold_started_ns = 0;
-  /// has_remote_request() as of this strand's last protocol task (see
-  /// publish_remote_pending).
-  std::atomic<bool> remote_pending{false};
-};
-
 DistributedLockSpace::DistributedLockSpace(DistributedLockSpaceConfig config)
     : config_(std::move(config)),
       directory_(config_.n, config_.directory_vnodes, config_.seed),
-      executor_(exec::ExecutorConfig{config_.workers, config_.spin}) {
+      executor_(exec::ExecutorConfig{config_.workers, config_.spin}),
+      space_(config_.lease, /*jitter_us=*/0, /*inline_requests=*/true) {
   DMX_CHECK(config_.n >= 1);
   DMX_CHECK_MSG(config_.self >= 1 && config_.self <= config_.n,
                 "self id " << config_.self << " outside 1.." << config_.n);
@@ -232,70 +40,33 @@ DistributedLockSpace::DistributedLockSpace(DistributedLockSpaceConfig config)
       },
       [this](NodeId peer) { on_peer_down(peer); });
 
-  const int m = static_cast<int>(config_.resources.size());
-  entries_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-      static_cast<std::size_t>(m));
-  occupancy_ =
-      std::make_unique<std::atomic<int>[]>(static_cast<std::size_t>(m));
-  resource_epoch_ = std::make_unique<std::atomic<Epoch>[]>(
-      static_cast<std::size_t>(m));
-  unavailable_ =
-      std::make_unique<std::atomic<bool>[]>(static_cast<std::size_t>(m));
-  for (int r = 0; r < m; ++r) {
-    entries_[static_cast<std::size_t>(r)].store(0);
-    occupancy_[static_cast<std::size_t>(r)].store(0);
-    resource_epoch_[static_cast<std::size_t>(r)].store(0);
-    unavailable_[static_cast<std::size_t>(r)].store(false);
-  }
   peer_down_ = std::make_unique<std::atomic<bool>[]>(
       static_cast<std::size_t>(config_.n) + 1);
   for (NodeId v = 0; v <= config_.n; ++v) {
     peer_down_[static_cast<std::size_t>(v)].store(false);
   }
-  repair_.reserve(static_cast<std::size_t>(m));
-  for (int r = 0; r < m; ++r) {
-    repair_.push_back(std::make_unique<RepairState>());
-  }
-
-  nodes_.reserve(static_cast<std::size_t>(m));
+  const std::size_t m = config_.resources.size();
+  resources_.reserve(m);
+  runtimes_.reserve(m);
+  repair_.reserve(m);
   for (const std::string& name : config_.resources) {
     const ResourceId r = directory_.open(name);
-    nodes_.push_back(std::make_unique<ResourceNode>(*this, r));
-    proto::ClusterSpec spec;
-    spec.n = config_.n;
-    spec.initial_token_holder = config_.algorithm.name == "Singhal"
-                                    ? 1
-                                    : directory_.home_node(r);
-    spec.tree = config_.tree.has_value() ? &*config_.tree : nullptr;
-    spec.seed = config_.seed;
-    // The factory builds all n instances (every process derives the same
-    // initial world); this process keeps only its own.
-    auto protocol_nodes = config_.algorithm.factory(spec);
-    DMX_CHECK(protocol_nodes.size() ==
-              static_cast<std::size_t>(config_.n) + 1);
-    nodes_.back()->node =
-        std::move(protocol_nodes[static_cast<std::size_t>(config_.self)]);
+    resources_.push_back(std::make_unique<service::ResourceState>(
+        r, name, config_.algorithm));
+    repair_.push_back(std::make_unique<RepairState>());
+    // Every process derives the same initial world; this one keeps only
+    // its own instance.
+    auto protocol_nodes = service::initial_world(
+        config_.algorithm, config_.n, directory_.home_node(r),
+        config_.tree.has_value() ? &*config_.tree : nullptr, config_.seed);
+    runtimes_.push_back(std::make_unique<service::NodeRuntime>(
+        space_, *resources_.back(), static_cast<service::Link&>(*this),
+        executor_, config_.self,
+        config_.n,
+        std::move(protocol_nodes[static_cast<std::size_t>(config_.self)]),
+        peer_down_[static_cast<std::size_t>(config_.self)], config_.seed));
   }
-
-  // Resolve metric ids once, here in cold code (same names as the
-  // threaded substrate, so cross-substrate snapshots line up).
-  auto& registry = telemetry::Registry::global();
-  hold_hist_ = registry.histogram("client.hold_ns");
-  chain_hist_ = registry.histogram("client.chain_len");
-  repair_hist_ = registry.histogram("fault.repair_ns");
-  resource_telemetry_.reserve(static_cast<std::size_t>(m));
-  for (ResourceId r = 0; r < m; ++r) {
-    const std::string& rname = directory_.name(r);
-    ResourceTelemetry rt;
-    rt.wait_ns = registry.histogram("client.wait_ns." + rname);
-    rt.ok = registry.counter("client.ok." + rname);
-    rt.timeouts = registry.counter("client.timeout." + rname);
-    rt.unavailable = registry.counter("client.unavailable." + rname);
-    resource_telemetry_.push_back(rt);
-  }
-  for (const std::string& kind : config_.algorithm.token_message_kinds) {
-    token_kinds_.push_back(net::MessageKind::of(kind));
-  }
+  repair_hist_ = telemetry::Registry::global().histogram("fault.repair_ns");
 }
 
 DistributedLockSpace::~DistributedLockSpace() { shutdown(); }
@@ -330,9 +101,14 @@ void DistributedLockSpace::shutdown() {
   executor_.shutdown();
 }
 
-DistributedLockSpace::ResourceNode& DistributedLockSpace::rn(ResourceId r) {
+service::NodeRuntime& DistributedLockSpace::runtime(ResourceId r) {
   DMX_CHECK(r >= 0 && r < resource_count());
-  return *nodes_[static_cast<std::size_t>(r)];
+  return *runtimes_[static_cast<std::size_t>(r)];
+}
+
+service::ResourceState& DistributedLockSpace::resource(ResourceId r) const {
+  DMX_CHECK(r >= 0 && r < resource_count());
+  return *resources_[static_cast<std::size_t>(r)];
 }
 
 DistributedLockSpace::RepairState& DistributedLockSpace::repair(ResourceId r) {
@@ -341,21 +117,13 @@ DistributedLockSpace::RepairState& DistributedLockSpace::repair(ResourceId r) {
 }
 
 Epoch DistributedLockSpace::epoch(ResourceId r) const {
-  DMX_CHECK(r >= 0 && r < resource_count());
-  return resource_epoch_[static_cast<std::size_t>(r)].load(
-      std::memory_order_acquire);
+  return resource(r).epoch.load(std::memory_order_acquire);
 }
 
-void DistributedLockSpace::route(ResourceId r, NodeId to,
-                                 net::MessagePtr message, Epoch tag) {
-  DMX_CHECK(to >= 1 && to <= config_.n && to != config_.self);
-  for (const net::MessageKind kind : token_kinds_) {
-    if (message->kind_id() == kind) {
-      telemetry::FlightRecorder::record(telemetry::FlightEvent::kTokenForward,
-                                        r, to, /*arg=*/config_.self);
-      break;
-    }
-  }
+void DistributedLockSpace::send(ResourceId r, NodeId from, NodeId to,
+                                net::MessagePtr message, Epoch epoch) {
+  DMX_CHECK(from == config_.self && to >= 1 && to <= config_.n &&
+            to != config_.self);
   // The wire analogue of the threaded substrate's traffic-to-dead-node
   // drop; repair re-requests cover anything lost here.
   if (peer_down_[static_cast<std::size_t>(to)].load(
@@ -363,26 +131,25 @@ void DistributedLockSpace::route(ResourceId r, NodeId to,
     return;
   }
   try {
-    if (!loop_->send(to, tag, r, *message)) {
-      // Peer vanished between the liveness check and the send; the
-      // on_peer_down path handles it.
-      return;
-    }
+    // A false return means the peer vanished between the liveness check
+    // and the send; the on_peer_down path handles it.
+    loop_->send(to, epoch, r, *message);
   } catch (const net::WireError& e) {
-    fail(e.what());
+    space_.fail(e.what());
   }
 }
 
 void DistributedLockSpace::on_frame(const FrameHeader& header,
                                     net::MessagePtr message) {
   if (header.to != config_.self) {
-    record_error("frame addressed to node " + std::to_string(header.to) +
-                 " arrived at node " + std::to_string(config_.self));
+    space_.record_error("frame addressed to node " +
+                        std::to_string(header.to) + " arrived at node " +
+                        std::to_string(config_.self));
     return;
   }
   if (header.resource < 0 || header.resource >= resource_count()) {
-    record_error("frame for unknown resource " +
-                 std::to_string(header.resource));
+    space_.record_error("frame for unknown resource " +
+                        std::to_string(header.resource));
     return;
   }
   // Repair control frames are ABOUT the epoch transition, so they bypass
@@ -398,7 +165,7 @@ void DistributedLockSpace::on_frame(const FrameHeader& header,
   }
 
   RepairState& rs = repair(header.resource);
-  ResourceNode& x = rn(header.resource);
+  service::NodeRuntime& rt = runtime(header.resource);
   bool claimed;
   {
     std::lock_guard<std::mutex> guard(rs.mutex);
@@ -414,8 +181,8 @@ void DistributedLockSpace::on_frame(const FrameHeader& header,
       // is still in flight, or the install awaits acks); park it and
       // drain it behind the reset task once the matching world lands.
       if (rs.queued.size() >= kMaxQueuedFrames) {
-        record_error("repair frame queue overflow on resource " +
-                     std::to_string(header.resource));
+        space_.record_error("repair frame queue overflow on resource " +
+                            std::to_string(header.resource));
         return;
       }
       rs.queued.push_back(
@@ -424,16 +191,31 @@ void DistributedLockSpace::on_frame(const FrameHeader& header,
     }
     // Posted under rs.mutex, so the delivery keeps its FIFO place against
     // an install's reset task.
-    const Epoch tag = header.epoch;
-    const NodeId from = header.from;
-    claimed = x.strand.post_claim(
-        [&x, tag, from, msg = std::move(message)]() mutable {
-          x.deliver(tag, from, std::move(msg));
-        });
+    claimed = rt.deliver_claimed(header.from, std::move(message),
+                                 header.epoch);
   }
   // An idle strand runs here on the loop thread, which already holds the
   // frame: no pool worker wakes between the wire and the handler.
-  if (claimed) x.strand.drain();
+  if (claimed) rt.drain();
+}
+
+std::vector<std::uint8_t> DistributedLockSpace::live_nodes() const {
+  std::vector<std::uint8_t> up(static_cast<std::size_t>(config_.n) + 1, 0);
+  for (NodeId v = 1; v <= config_.n; ++v) {
+    up[static_cast<std::size_t>(v)] =
+        peer_down_[static_cast<std::size_t>(v)].load(
+            std::memory_order_seq_cst)
+            ? 0
+            : 1;
+  }
+  return up;
+}
+
+void DistributedLockSpace::give_up_all() {
+  for (int r = 0; r < resource_count(); ++r) {
+    resource(r).mark_unavailable();
+    runtime(r).wake();
+  }
 }
 
 void DistributedLockSpace::on_peer_down(NodeId peer) {
@@ -444,37 +226,23 @@ void DistributedLockSpace::on_peer_down(NodeId peer) {
           true, std::memory_order_seq_cst)) {
     return;
   }
+  space_.fault_seen.store(true, std::memory_order_seq_cst);
   telemetry::FlightRecorder::record(telemetry::FlightEvent::kCrash,
                                     /*resource=*/0, peer);
   if (!config_.recovery_enabled) {
-    record_error("peer node " + std::to_string(peer) +
-                 " disconnected without goodbye");
-    for (int r = 0; r < resource_count(); ++r) {
-      mark_unavailable(r);
-      wake_clients(r);
-    }
+    space_.record_error("peer node " + std::to_string(peer) +
+                        " disconnected without goodbye");
+    give_up_all();
     return;
   }
-
-  std::vector<std::uint8_t> up(static_cast<std::size_t>(config_.n) + 1, 0);
-  for (NodeId v = 1; v <= config_.n; ++v) {
-    up[static_cast<std::size_t>(v)] =
-        peer_down_[static_cast<std::size_t>(v)].load(
-            std::memory_order_seq_cst)
-            ? 0
-            : 1;
-  }
-  const NodeId winner = quorum::elect_regenerator(config_.n, up);
+  const NodeId winner = quorum::elect_regenerator(config_.n, live_nodes());
   if (winner == kNilNode) {
     // No live strict majority: the space stays degraded forever (crashed
     // processes never rejoin the mesh). Waiters are told, not left
     // hanging.
-    record_error("no live majority after node " + std::to_string(peer) +
-                 " crashed");
-    for (int r = 0; r < resource_count(); ++r) {
-      mark_unavailable(r);
-      wake_clients(r);
-    }
+    space_.record_error("no live majority after node " +
+                        std::to_string(peer) + " crashed");
+    give_up_all();
     return;
   }
   if (winner != config_.self) {
@@ -492,18 +260,11 @@ void DistributedLockSpace::on_peer_down(NodeId peer) {
 
 void DistributedLockSpace::start_repair_locked(ResourceId r, RepairState& rs,
                                                Epoch at_least) {
-  std::vector<std::uint8_t> up(static_cast<std::size_t>(config_.n) + 1, 0);
-  for (NodeId v = 1; v <= config_.n; ++v) {
-    up[static_cast<std::size_t>(v)] =
-        peer_down_[static_cast<std::size_t>(v)].load(
-            std::memory_order_seq_cst)
-            ? 0
-            : 1;
-  }
+  const std::vector<std::uint8_t> up = live_nodes();
   const NodeId winner = quorum::elect_regenerator(config_.n, up);
   if (winner == kNilNode) {
-    mark_unavailable(r);
-    wake_clients(r);
+    resource(r).mark_unavailable();
+    runtime(r).wake();
     return;
   }
   if (winner != config_.self) return;
@@ -523,10 +284,9 @@ void DistributedLockSpace::start_repair_locked(ResourceId r, RepairState& rs,
   rs.acks[static_cast<std::size_t>(config_.self)] = 1;
   rs.acks_missing = rs.membership->size() - 1;
   // Fence first: from here on no grant minted in the old world can be
-  // consumed (wait_for_grant revalidates granted_epoch against this), and
-  // every old-tagged strand task drops itself.
-  resource_epoch_[static_cast<std::size_t>(r)].store(
-      e, std::memory_order_seq_cst);
+  // consumed (the gate revalidates grants against this), and every
+  // old-tagged strand task drops itself.
+  resource(r).epoch.store(e, std::memory_order_seq_cst);
   if (rs.repair_started_ns == 0) {
     rs.repair_started_ns = telemetry::now_ns();
     telemetry::FlightRecorder::record(telemetry::FlightEvent::kRepairStart,
@@ -546,7 +306,7 @@ void DistributedLockSpace::start_repair_locked(ResourceId r, RepairState& rs,
     // which the loop thread takes), and only the loop drains outboxes.
     loop_->send(v, e, r, announce, /*block_on_backpressure=*/false);
   }
-  wake_clients(r);
+  runtime(r).wake();
   try_install_locked(r, rs);
 }
 
@@ -567,17 +327,18 @@ void DistributedLockSpace::handle_repair(const FrameHeader& header,
   bool self_in = false;
   for (const NodeId v : message.members()) {
     if (v < 1 || v > config_.n) {
-      record_error("repair membership contains node " + std::to_string(v) +
-                   " outside 1.." + std::to_string(config_.n));
+      space_.record_error("repair membership contains node " +
+                          std::to_string(v) + " outside 1.." +
+                          std::to_string(config_.n));
       return;
     }
     up[static_cast<std::size_t>(v)] = 1;
     self_in = self_in || v == config_.self;
   }
   if (!self_in || !up[static_cast<std::size_t>(message.winner())]) {
-    record_error("repair membership from node " +
-                 std::to_string(header.from) +
-                 " excludes a live participant");
+    space_.record_error("repair membership from node " +
+                        std::to_string(header.from) +
+                        " excludes a live participant");
     return;
   }
   rs.target = message.epoch();
@@ -593,21 +354,14 @@ void DistributedLockSpace::handle_repair(const FrameHeader& header,
           true, std::memory_order_seq_cst);
     }
   }
-  resource_epoch_[static_cast<std::size_t>(r)].store(
-      rs.target, std::memory_order_seq_cst);
+  resource(r).epoch.store(rs.target, std::memory_order_seq_cst);
   if (rs.repair_started_ns == 0) {
     rs.repair_started_ns = telemetry::now_ns();
     telemetry::FlightRecorder::record(telemetry::FlightEvent::kRepairStart,
                                       r);
   }
 
-  ResourceNode& x = rn(r);
-  bool held = false;
-  {
-    std::lock_guard<std::mutex> client_guard(x.client_mutex);
-    held = x.held;
-  }
-  if (held) {
+  if (runtime(r).holding()) {
     // The old-world critical section finishes undisturbed; unlock installs
     // the fresh world and acks then. The fence above already guarantees no
     // SECOND old-world entry can happen meanwhile.
@@ -617,7 +371,7 @@ void DistributedLockSpace::handle_repair(const FrameHeader& header,
     loop_->send(header.from, rs.installed, r, RepairAckMessage(rs.installed),
                 /*block_on_backpressure=*/false);
   }
-  wake_clients(r);
+  runtime(r).wake();
 }
 
 void DistributedLockSpace::handle_repair_ack(const FrameHeader& header,
@@ -648,13 +402,9 @@ void DistributedLockSpace::try_install_locked(ResourceId r, RepairState& rs) {
   if (rs.installed == rs.target) return;
   if (rs.winner != config_.self) return;
   if (rs.acks_missing > 0) return;
-  ResourceNode& x = rn(r);
-  {
-    std::lock_guard<std::mutex> client_guard(x.client_mutex);
-    if (x.held) {
-      rs.await_unlock = true;
-      return;
-    }
+  if (runtime(r).holding()) {
+    rs.await_unlock = true;
+    return;
   }
   // Every survivor is fenced and nobody is inside the old critical
   // section anywhere: installing re-mints the token. The hook lets the
@@ -667,48 +417,22 @@ void DistributedLockSpace::try_install_locked(ResourceId r, RepairState& rs) {
 void DistributedLockSpace::install_world_locked(ResourceId r,
                                                 RepairState& rs) {
   const Epoch e = rs.target;
-  proto::ClusterSpec spec;
-  spec.n = rs.membership->size();
-  spec.initial_token_holder = rs.membership->rank_of(rs.winner);
-  spec.seed = config_.seed;
-  spec.epoch = e;
-  // Star over the survivors rooted at the winner: diameter 2 from any
-  // survivor to the regenerated token, independent of who died. The
-  // factory reads the tree only while it builds the instances.
-  std::optional<topology::Tree> tree;
-  if (config_.algorithm.needs_tree) {
-    tree.emplace(topology::Tree::star(spec.n, spec.initial_token_holder));
-    spec.tree = &*tree;
-  }
-  auto fresh = config_.algorithm.factory(spec);
-  DMX_CHECK(fresh.size() == static_cast<std::size_t>(spec.n) + 1);
-  const NodeId my_rank = rs.membership->rank_of(config_.self);
-  std::shared_ptr<const fault::Membership> shared = rs.membership;
-  ResourceNode& x = rn(r);
-  // The reset task is unfenced — it IS the epoch transition on this
-  // strand; every later same-strand task observes the fresh world.
-  x.strand.post([&x, e, shared,
-                 fresh_node = std::move(
-                     fresh[static_cast<std::size_t>(my_rank)])]() mutable {
-    x.node = std::move(fresh_node);
-    x.epoch = e;
-    x.membership = shared;
-    x.request_outstanding = false;
-    x.publish_remote_pending();
-  });
+  auto fresh = service::repaired_world(config_.algorithm, *rs.membership,
+                                       rs.winner, e, config_.seed);
+  service::NodeRuntime& rt = runtime(r);
+  rt.install(e, rs.membership,
+             std::move(fresh[static_cast<std::size_t>(
+                 rs.membership->rank_of(config_.self))]));
   // Re-issue behind the reset for parked waiters; any message it triggers
   // lands behind the destination's own reset or in its parked queue.
-  x.strand.post([&x, e] { x.rerequest(e); });
+  rt.rerequest(e);
   // Frames from world e that arrived before it was installed drain now,
   // behind the reset in strand FIFO; anything older is stale, anything
   // newer keeps waiting for its own install.
   std::size_t kept = 0;
   for (QueuedFrame& qf : rs.queued) {
     if (qf.epoch == e) {
-      const NodeId from = qf.from;
-      x.strand.post([&x, e, from, msg = std::move(qf.message)]() mutable {
-        x.deliver(e, from, std::move(msg));
-      });
+      rt.deliver(qf.from, std::move(qf.message), e);
     } else if (qf.epoch > e) {
       rs.queued[kept++] = std::move(qf);
     } else {
@@ -725,183 +449,19 @@ void DistributedLockSpace::install_world_locked(ResourceId r,
   }
   telemetry::FlightRecorder::record(telemetry::FlightEvent::kRepairDone, r,
                                     rs.winner, static_cast<std::int64_t>(e));
-  wake_clients(r);
-}
-
-void DistributedLockSpace::mark_unavailable(ResourceId r) {
-  if (!unavailable_[static_cast<std::size_t>(r)].exchange(
-          true, std::memory_order_seq_cst)) {
-    telemetry::FlightRecorder::record(
-        telemetry::FlightEvent::kResourceUnavailable, r);
-  }
-}
-
-void DistributedLockSpace::wake_clients(ResourceId r) {
-  ResourceNode& x = rn(r);
-  // Lock/unlock pairs with each waiter's predicate check so the wake
-  // cannot slip between its check and its wait.
-  { std::lock_guard<std::mutex> guard(x.client_mutex); }
-  x.client_cv.notify_all();
+  rt.wake();
 }
 
 void DistributedLockSpace::debug_fence_epoch(ResourceId r) {
   RepairState& rs = repair(r);
   std::lock_guard<std::mutex> guard(rs.mutex);
   rs.target += 1;
-  resource_epoch_[static_cast<std::size_t>(r)].store(
-      rs.target, std::memory_order_seq_cst);
-  wake_clients(r);
-}
-
-void DistributedLockSpace::record_error(const std::string& what) {
-  std::lock_guard<std::mutex> guard(error_mutex_);
-  if (!first_error_.has_value()) first_error_ = what;
-}
-
-void DistributedLockSpace::fail(const std::string& what) {
-  record_error(what);
-  failed_.store(true, std::memory_order_seq_cst);
-  for (auto& node : nodes_) {
-    { std::lock_guard<std::mutex> guard(node->client_mutex); }
-    node->client_cv.notify_all();
-  }
-}
-
-LockError DistributedLockSpace::wait_for_grant(
-    ResourceId r, const std::chrono::milliseconds* timeout) {
-  ResourceNode& x = rn(r);
-  const ResourceTelemetry& rt =
-      resource_telemetry_[static_cast<std::size_t>(r)];
-  const std::uint64_t wait_started_ns = telemetry::now_ns();
-  telemetry::FlightRecorder::record_at(wait_started_ns,
-                                       telemetry::FlightEvent::kRequest, r,
-                                       config_.self);
-  const auto deadline =
-      timeout != nullptr
-          ? std::chrono::steady_clock::now() + *timeout
-          : std::chrono::steady_clock::time_point::max();
-  std::uint64_t grant_ns = 0;
-  {
-    std::unique_lock<std::mutex> guard(x.client_mutex);
-    ++x.waiting;
-    // Arrival-order ticket: grants are consumed strictly in ticket order,
-    // so a later waiter on this node can never overtake an earlier one
-    // through a lucky condvar wake.
-    const std::uint64_t ticket = x.ticket_seq++;
-    x.fifo.push_back(ticket);
-    if (!x.requested && !x.held) {
-      x.requested = true;
-      const Epoch tag = resource_epoch_[static_cast<std::size_t>(r)].load(
-          std::memory_order_acquire);
-      if (x.strand.post_claim([&x, tag] { x.request(tag); })) {
-        // Run the idle strand on this thread; on_grant takes client_mutex,
-        // so the request runs with it released (a local token grants
-        // before the wait below even starts).
-        guard.unlock();
-        x.strand.drain();
-        guard.lock();
-      }
-    }
-    const auto ready = [this, r, &x, ticket] {
-      return (x.granted && x.fifo.front() == ticket) ||
-             failed_.load(std::memory_order_relaxed) ||
-             unavailable_[static_cast<std::size_t>(r)].load(
-                 std::memory_order_relaxed);
-    };
-    while (true) {
-      bool signalled = true;
-      if (timeout == nullptr) {
-        x.client_cv.wait(guard, ready);
-      } else {
-        signalled = x.client_cv.wait_until(guard, deadline, ready);
-      }
-      if (!signalled) {
-        // Deadline passed; the request stays posted and a grant arriving
-        // with nobody waiting is handed straight back by on_grant. A
-        // repair wakeup never extends the deadline: the wait_until above
-        // re-arms against the ORIGINAL deadline after every spurious or
-        // stale-grant wake.
-        --x.waiting;
-        x.fifo.erase(std::find(x.fifo.begin(), x.fifo.end(), ticket));
-        guard.unlock();
-        // The waiter behind us is the new front; a pending grant it was
-        // fenced off may now be its to consume.
-        x.client_cv.notify_all();
-        telemetry::count(rt.timeouts);
-        telemetry::FlightRecorder::record(telemetry::FlightEvent::kTimeout, r,
-                                          config_.self);
-        return LockError::kTimeout;
-      }
-      if (x.granted && x.fifo.front() == ticket) {
-        // Revalidate against the current epoch: a repair may have fenced
-        // the world this grant came from, in which case the regenerated
-        // token supersedes it and entering would break exclusion. The
-        // repair's re-request covers us; keep waiting.
-        if (x.granted_epoch !=
-            resource_epoch_[static_cast<std::size_t>(r)].load(
-                std::memory_order_acquire)) {
-          x.granted = false;
-          continue;
-        }
-        x.granted = false;
-        x.requested = false;
-        --x.waiting;
-        x.fifo.pop_front();
-        x.held = true;
-        x.held_epoch = x.granted_epoch;
-        // One clock read serves the hold stamp, the wait histogram, and
-        // the grant flight event.
-        grant_ns = telemetry::now_ns();
-        x.hold_started_ns = grant_ns;
-        if (x.grant_via_chain) {
-          x.grant_via_chain = false;  // window stays open, length counted
-        } else {
-          x.chain_len = 0;  // fresh protocol grant opens a fresh window
-          x.chain_started_ns = grant_ns;
-        }
-        break;
-      }
-      if (unavailable_[static_cast<std::size_t>(r)].load(
-              std::memory_order_relaxed)) {
-        --x.waiting;
-        x.fifo.erase(std::find(x.fifo.begin(), x.fifo.end(), ticket));
-        telemetry::count(rt.unavailable);
-        telemetry::FlightRecorder::record(telemetry::FlightEvent::kUnavailable,
-                                          r, config_.self);
-        return LockError::kUnavailable;
-      }
-      if (failed_.load(std::memory_order_relaxed)) {
-        --x.waiting;
-        x.fifo.erase(std::find(x.fifo.begin(), x.fifo.end(), ticket));
-        DMX_CHECK_MSG(false, "distributed lock space failed while waiting on "
-                                 << name(r) << "; see first_error()");
-      }
-      // Spurious wake (repair installed a fresh world, say): keep waiting
-      // against the original deadline.
-    }
-  }
-  // Local-view exclusivity witness (the harness's shared-memory witness
-  // covers the cross-process claim).
-  const int prev = occupancy_[static_cast<std::size_t>(r)].fetch_add(1);
-  if (prev != 0) {
-    record_error("local occupancy of resource " + name(r) + " was " +
-                 std::to_string(prev) + " on entry");
-  }
-  entries_[static_cast<std::size_t>(r)].fetch_add(1,
-                                                  std::memory_order_relaxed);
-  // Per-resource lane only; "client.wait_ns" is rolled up at snapshot
-  // time, matching the threaded substrate.
-  if (telemetry::sample_1_in_8()) {
-    telemetry::observe(rt.wait_ns, grant_ns - wait_started_ns);
-  }
-  telemetry::count(rt.ok);
-  telemetry::FlightRecorder::record_at(grant_ns, telemetry::FlightEvent::kGrant,
-                                       r, config_.self);
-  return LockError::kOk;
+  resource(r).epoch.store(rs.target, std::memory_order_seq_cst);
+  runtime(r).wake();
 }
 
 void DistributedLockSpace::lock(ResourceId r) {
-  const LockError error = wait_for_grant(r, nullptr);
+  const LockError error = runtime(r).lock(nullptr);
   DMX_CHECK_MSG(error == LockError::kOk,
                 "lock of resource "
                     << name(r)
@@ -910,119 +470,15 @@ void DistributedLockSpace::lock(ResourceId r) {
 
 LockError DistributedLockSpace::try_lock_for(
     ResourceId r, std::chrono::milliseconds timeout) {
-  return wait_for_grant(r, &timeout);
+  return runtime(r).lock(&timeout);
 }
 
 void DistributedLockSpace::unlock(ResourceId r) {
-  ResourceNode& x = rn(r);
-  // One clock read ahead of the mutex serves the lease-window check, the
-  // hold histogram, and the release/chain flight event.
-  const std::uint64_t release_ns = telemetry::now_ns();
-  std::uint64_t hold_started_ns = 0;
-  bool chained = false;
-  int chain_arg = 0;
-  int ended_chain = 0;  // lease window closed at this length (0 = none)
-  bool yielded_with_waiters = false;
-  bool claimed = false;  // this thread owns the strand activation
-  {
-    std::lock_guard<std::mutex> guard(x.client_mutex);
-    DMX_CHECK_MSG(x.held, "unlock of resource " << name(r)
-                                                << " which is not held");
-    x.held = false;
-    hold_started_ns = x.hold_started_ns;
-    x.hold_started_ns = 0;
-    occupancy_[static_cast<std::size_t>(r)].fetch_sub(1);
-    // The tag is re-read here: if a repair fenced us while we held, the
-    // release is minted in the NEW epoch and drops itself (the old world
-    // is being discarded whole).
-    const Epoch tag = resource_epoch_[static_cast<std::size_t>(r)].load(
-        std::memory_order_acquire);
-    // Local grant chaining: with waiters parked on this node and the
-    // lease not exhausted, hand the CS straight to the next one — one
-    // condvar wake, zero wire frames. Never across an epoch transition:
-    // a repair fences (bumps the epoch) BEFORE it checks for a local
-    // holder, so tag != held_epoch exactly when an install is waiting on
-    // this unlock, and the normal path below completes it.
-    if (x.waiting > 0 && tag == x.held_epoch &&
-        !failed_.load(std::memory_order_relaxed) &&
-        !unavailable_[static_cast<std::size_t>(r)].load(
-            std::memory_order_relaxed)) {
-      int chain = x.chain_len;
-      const bool window_ok =
-          config_.lease.max_hold_ns == 0 ||
-          release_ns - x.chain_started_ns < config_.lease.max_hold_ns;
-      bool hand_off =
-          window_ok && service::lease_chain_allowed(config_.lease, chain);
-      if (!hand_off && config_.lease.max_chain != 0 &&
-          service::lease_renewable(
-              config_.lease, config_.algorithm.holder_sees_remote_requests,
-              x.remote_pending.load(std::memory_order_relaxed))) {
-        // Lease expired but the protocol instance can see that no remote
-        // request is pending: renew in place instead of a pointless
-        // release/re-request wire round.
-        ended_chain = chain;
-        chain = 0;
-        x.chain_started_ns = release_ns;
-        hand_off = true;
-      }
-      if (hand_off) {
-        x.chain_len = chain + 1;
-        chain_arg = x.chain_len;
-        x.granted = true;
-        x.granted_epoch = x.held_epoch;
-        x.grant_via_chain = true;
-        chained = true;
-      }
-    }
-    if (!chained) {
-      ended_chain = x.chain_len;
-      x.chain_len = 0;
-      yielded_with_waiters = x.waiting > 0;
-      // Strand FIFO orders the release ahead of the follow-up request,
-      // and posting under client_mutex keeps a racing lock() on another
-      // thread from slipping its request in between. The drain waits
-      // until the mutex is released (on_grant takes it).
-      claimed = x.strand.post_claim([&x, tag] { x.release(tag); });
-      if (x.waiting > 0 && !x.requested) {
-        x.requested = true;
-        x.strand.post([&x, tag] { x.request(tag); });
-      }
-    }
-  }
-  // Telemetry off the client mutex.
-  if (hold_started_ns != 0 && telemetry::sample_1_in_8()) {
-    telemetry::observe(hold_hist_, release_ns - hold_started_ns);
-  }
-  if (ended_chain > 0) {
-    telemetry::observe(chain_hist_,
-                       static_cast<std::uint64_t>(ended_chain));
-  }
-  if (chained) {
-    x.client_cv.notify_all();
-    chained_grants_.fetch_add(1, std::memory_order_relaxed);
-    telemetry::FlightRecorder::record_at(release_ns,
-                                         telemetry::FlightEvent::kChainGrant,
-                                         r, config_.self, chain_arg);
-    // No deferred install can be waiting on this unlock: a repair fences
-    // the epoch before deferring, which disables chaining above.
-    return;
-  }
-  telemetry::FlightRecorder::record_at(release_ns,
-                                       telemetry::FlightEvent::kRelease, r,
-                                       config_.self);
-  if (yielded_with_waiters) {
-    lease_yields_.fetch_add(1, std::memory_order_relaxed);
-    telemetry::FlightRecorder::record_at(release_ns,
-                                         telemetry::FlightEvent::kLeaseYield,
-                                         r, config_.self, ended_chain);
-  }
-  // The release runs here on the releasing thread when the strand was
-  // idle: the token leaves with no pool wake-up. Outside rs.mutex, which
-  // a blocking send must never hold.
-  if (claimed) x.strand.drain();
-  // Complete a repair that deferred while this client held the lock.
-  // Taken without client_mutex: the repair path acquires client_mutex
-  // under rs.mutex, never the reverse.
+  if (!runtime(r).unlock()) return;
+  // Complete a repair that deferred while this client held the lock. A
+  // chained unlock cannot: a repair fences the epoch before deferring,
+  // which stops chaining. Taken without the gate mutex: the repair path
+  // acquires it under rs.mutex, never the reverse.
   RepairState& rs = repair(r);
   std::lock_guard<std::mutex> repair_guard(rs.mutex);
   if (!rs.await_unlock) return;
@@ -1041,9 +497,7 @@ void DistributedLockSpace::unlock(ResourceId r) {
 }
 
 std::uint64_t DistributedLockSpace::entries(ResourceId r) const {
-  DMX_CHECK(r >= 0 && r < resource_count());
-  return entries_[static_cast<std::size_t>(r)].load(
-      std::memory_order_relaxed);
+  return resource(r).entries.load(std::memory_order_relaxed);
 }
 
 std::uint64_t DistributedLockSpace::total_entries() const {
@@ -1053,10 +507,7 @@ std::uint64_t DistributedLockSpace::total_entries() const {
 }
 
 std::optional<std::string> DistributedLockSpace::first_error() const {
-  {
-    std::lock_guard<std::mutex> guard(error_mutex_);
-    if (first_error_.has_value()) return first_error_;
-  }
+  if (auto error = space_.first_error()) return error;
   return loop_->first_error();
 }
 

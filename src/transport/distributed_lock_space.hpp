@@ -1,10 +1,11 @@
 // Multi-resource lock service with one node per PROCESS over loopback TCP.
 //
 // The distributed sibling of service::ThreadedLockSpace: the same
-// per-resource strand-confined protocol state machines, the same
-// client-gate lock()/unlock() bridge, the same consistent-hash Directory
-// placement — but each process runs exactly ONE node, and protocol
-// messages cross real sockets as codec frames instead of strand posts.
+// service::NodeRuntime per resource (strand-confined protocol state
+// machine, client gate, lease), the same consistent-hash Directory
+// placement — but each process runs exactly ONE node, and the runtimes'
+// link is the event loop: protocol messages cross real sockets as codec
+// frames instead of strand posts.
 // Protocol code is unchanged (the substitution argument of DESIGN.md,
 // extended to a third substrate): a MutexNode cannot tell whether its
 // Context::send lands in a sibling strand or on the wire.
@@ -48,11 +49,10 @@
 #include "common/types.hpp"
 #include "exec/executor.hpp"
 #include "fault/membership.hpp"
-#include "net/message_kind.hpp"
 #include "proto/algorithm.hpp"
 #include "service/directory.hpp"
 #include "service/lease.hpp"
-#include "service/threaded_lock_space.hpp"  // service::LockError
+#include "service/node_runtime.hpp"
 #include "telemetry/telemetry.hpp"
 #include "topology/tree.hpp"
 #include "transport/event_loop.hpp"
@@ -97,7 +97,8 @@ struct DistributedLockSpaceConfig {
   service::LeaseConfig lease;
 };
 
-class DistributedLockSpace {
+/// The space is the link of its runtimes (see send()).
+class DistributedLockSpace final : private service::Link {
  public:
   explicit DistributedLockSpace(DistributedLockSpaceConfig config);
   ~DistributedLockSpace();
@@ -168,10 +169,10 @@ class DistributedLockSpace {
   /// a wire round, and lease windows that closed with local waiters
   /// still queued (the bounded-waiting cap at work).
   std::uint64_t chained_grants() const {
-    return chained_grants_.load(std::memory_order_relaxed);
+    return space_.chained_grants.load(std::memory_order_relaxed);
   }
   std::uint64_t lease_yields() const {
-    return lease_yields_.load(std::memory_order_relaxed);
+    return space_.lease_yields.load(std::memory_order_relaxed);
   }
 
   /// First protocol, exclusivity, or transport error observed, if any.
@@ -183,8 +184,6 @@ class DistributedLockSpace {
   telemetry::MetricsSnapshot telemetry_snapshot() const;
 
  private:
-  struct ResourceNode;
-
   /// A protocol frame parked by the epoch fence: its epoch is newer than
   /// the installed world (the REPAIR announcing that epoch has not been
   /// processed, or the install is still awaiting acks). Drained — behind
@@ -196,12 +195,12 @@ class DistributedLockSpace {
   };
 
   /// Per-resource repair controller state; `mutex` guards every field.
-  /// Lock order: RepairState::mutex before ResourceNode::client_mutex,
+  /// Lock order: RepairState::mutex before the runtime's gate mutex,
   /// never the reverse.
   struct RepairState {
     std::mutex mutex;
     /// Highest epoch announced (and fenced at) for this resource; always
-    /// mirrored into resource_epoch_ while `mutex` is held.
+    /// mirrored into the resource's fence epoch while `mutex` is held.
     Epoch target = 0;
     /// Epoch whose world reset has been posted to the strand.
     Epoch installed = 0;
@@ -222,19 +221,13 @@ class DistributedLockSpace {
     std::uint64_t repair_started_ns = 0;
   };
 
-  /// Per-resource interned metric ids, resolved once at construction.
-  struct ResourceTelemetry {
-    telemetry::HistogramId wait_ns;
-    telemetry::CounterId ok;
-    telemetry::CounterId timeouts;
-    telemetry::CounterId unavailable;
-  };
-
-  ResourceNode& rn(ResourceId r);
+  service::NodeRuntime& runtime(ResourceId r);
+  service::ResourceState& resource(ResourceId r) const;
   RepairState& repair(ResourceId r);
-  /// Context::send target: frames the message (stamped with the sending
+  /// The runtimes' link: frames the message (stamped with the sending
   /// world's epoch) and ships it to `to`.
-  void route(ResourceId r, NodeId to, net::MessagePtr message, Epoch tag);
+  void send(ResourceId r, NodeId from, NodeId to, net::MessagePtr message,
+            Epoch epoch) override;
   void on_frame(const FrameHeader& header, net::MessagePtr message);
   void on_peer_down(NodeId peer);
   /// REPAIR from the elected winner: fence at the announced epoch, then
@@ -254,69 +247,26 @@ class DistributedLockSpace {
   /// to the strand and marks the target epoch installed. Caller holds
   /// `rs.mutex`.
   void install_world_locked(ResourceId r, RepairState& rs);
-  void mark_unavailable(ResourceId r);
-  /// Wakes resource `r`'s parked clients (paired with their predicate
-  /// check under client_mutex).
-  void wake_clients(ResourceId r);
-  void record_error(const std::string& what);
-  /// Records the error and releases every parked client thread.
-  void fail(const std::string& what);
-  LockError wait_for_grant(ResourceId r,
-                           const std::chrono::milliseconds* timeout);
+  /// Marks every resource unavailable and wakes its clients.
+  void give_up_all();
+  /// Socket-liveness snapshot by original id (self is always up).
+  std::vector<std::uint8_t> live_nodes() const;
 
   DistributedLockSpaceConfig config_;
   service::Directory directory_;
   exec::Executor executor_;
+  service::SpaceState space_;
   std::unique_ptr<EventLoop> loop_;
-  /// This process's state machine per resource, indexed by ResourceId.
-  std::vector<std::unique_ptr<ResourceNode>> nodes_;
-  std::vector<std::unique_ptr<RepairState>> repair_;  // by ResourceId
-  std::unique_ptr<std::atomic<std::uint64_t>[]> entries_;
-  /// Local-view occupancy witness (complemented by the shared-memory
-  /// witness in the multi-process harness).
-  std::unique_ptr<std::atomic<int>[]> occupancy_;
-  /// Per-resource fence epoch, readable off the repair mutex (client
-  /// grant revalidation and frame admission read it lock-free).
-  std::unique_ptr<std::atomic<Epoch>[]> resource_epoch_;
-  /// Per-resource: no live majority (or recovery disabled) — the
-  /// resource can never grant again.
-  std::unique_ptr<std::atomic<bool>[]> unavailable_;
-  /// Socket-liveness vector, by original node id; self is never down.
+  std::vector<std::unique_ptr<service::ResourceState>> resources_;
+  /// Socket-liveness vector, by original node id. Self is never down, so
+  /// peer_down_[self] doubles as the runtimes' never-set liveness flag.
   std::unique_ptr<std::atomic<bool>[]> peer_down_;
+  /// This process's runtime per resource, indexed by ResourceId.
+  std::vector<std::unique_ptr<service::NodeRuntime>> runtimes_;
+  std::vector<std::unique_ptr<RepairState>> repair_;  // by ResourceId
   std::atomic<std::uint64_t> stale_frames_{0};
-  std::atomic<std::uint64_t> chained_grants_{0};
-  std::atomic<std::uint64_t> lease_yields_{0};
-  std::atomic<bool> failed_{false};
   std::atomic<bool> shut_down_{false};
-
-  mutable std::mutex error_mutex_;
-  std::optional<std::string> first_error_;
-
-  std::vector<ResourceTelemetry> resource_telemetry_;  // by ResourceId
-  telemetry::HistogramId hold_hist_;
-  telemetry::HistogramId chain_hist_;
   telemetry::HistogramId repair_hist_;
-  /// Interned kinds of token-carrying messages (one algorithm per space),
-  /// for flight-recording token forwards in route().
-  std::vector<net::MessageKind> token_kinds_;
-};
-
-/// RAII holder mirroring service::ScopedLock.
-class DistributedScopedLock {
- public:
-  DistributedScopedLock(DistributedLockSpace& space, ResourceId r)
-      : space_(&space), resource_(r) {
-    space_->lock(resource_);
-  }
-  ~DistributedScopedLock() {
-    if (space_ != nullptr) space_->unlock(resource_);
-  }
-  DistributedScopedLock(const DistributedScopedLock&) = delete;
-  DistributedScopedLock& operator=(const DistributedScopedLock&) = delete;
-
- private:
-  DistributedLockSpace* space_;
-  ResourceId resource_;
 };
 
 }  // namespace dmx::transport

@@ -1,46 +1,60 @@
-// Tests for the multi-threaded runtime: real threads, real blocking locks,
-// every algorithm. A shared unprotected counter is the canonical mutual-
-// exclusion witness: lost updates would make the final count fall short.
+// Tests for the blocking lock API on a one-resource ThreadedLockSpace:
+// real threads, real blocking locks, every algorithm. A shared
+// unprotected counter is the canonical mutual-exclusion witness: lost
+// updates would make the final count fall short.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "baselines/registry.hpp"
-#include "runtime/lock_cluster.hpp"
+#include "service/directory.hpp"
+#include "service/threaded_lock_space.hpp"
 #include "topology/tree.hpp"
 
-namespace dmx::runtime {
+namespace dmx::service {
 namespace {
 
-LockClusterConfig make_config(int n, unsigned jitter_us = 0) {
-  LockClusterConfig config;
+using namespace std::chrono_literals;
+
+constexpr ResourceId kLock = 0;
+
+ThreadedLockSpaceConfig make_config(const std::string& algorithm, int n,
+                                    unsigned jitter_us = 0) {
+  ThreadedLockSpaceConfig config;
   config.n = n;
-  config.initial_token_holder = 1;
+  config.algorithm = baselines::algorithm_by_name(algorithm);
+  config.resources = {"lock"};
   config.tree = topology::Tree::random_tree(n, 17);
   config.jitter_us = jitter_us;
+  config.workers = 2;
   return config;
+}
+
+/// The node a space built from `config` places the token of its only
+/// resource at (its Directory home).
+NodeId home_of(const ThreadedLockSpaceConfig& config) {
+  Directory directory(config.n, config.directory_vnodes, config.seed);
+  return directory.home_node(directory.open(config.resources.front()));
 }
 
 class RuntimeAllAlgorithms
     : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(RuntimeAllAlgorithms, SharedCounterHasNoLostUpdates) {
-  const proto::Algorithm algo =
-      baselines::algorithm_by_name(GetParam());
   const int n = 5;
   const int increments_per_node = 40;
-  LockCluster cluster(algo, make_config(n));
+  ThreadedLockSpace space(make_config(GetParam(), n));
 
   long long counter = 0;  // deliberately unsynchronized
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(n));
   for (NodeId v = 1; v <= n; ++v) {
-    threads.emplace_back([&cluster, &counter, v] {
-      DistributedMutex mutex = cluster.mutex(v);
+    threads.emplace_back([&space, &counter, v] {
       for (int i = 0; i < increments_per_node; ++i) {
-        std::lock_guard<DistributedMutex> guard(mutex);
+        ScopedLock guard(space, kLock, v);
         const long long read = counter;
         std::this_thread::yield();  // widen the race window
         counter = read + 1;
@@ -50,32 +64,27 @@ TEST_P(RuntimeAllAlgorithms, SharedCounterHasNoLostUpdates) {
   for (auto& thread : threads) thread.join();
 
   EXPECT_EQ(counter, static_cast<long long>(n) * increments_per_node);
-  EXPECT_EQ(cluster.total_entries(),
+  EXPECT_EQ(space.total_entries(),
             static_cast<std::uint64_t>(n) * increments_per_node);
-  EXPECT_FALSE(cluster.first_error().has_value())
-      << *cluster.first_error();
+  EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
 }
 
 TEST_P(RuntimeAllAlgorithms, JitteryDeliverySurvives) {
-  const proto::Algorithm algo =
-      baselines::algorithm_by_name(GetParam());
   const int n = 4;
-  LockCluster cluster(algo, make_config(n, /*jitter_us=*/200));
+  ThreadedLockSpace space(make_config(GetParam(), n, /*jitter_us=*/200));
 
   std::vector<std::thread> threads;
   for (NodeId v = 1; v <= n; ++v) {
-    threads.emplace_back([&cluster, v] {
-      DistributedMutex mutex = cluster.mutex(v);
+    threads.emplace_back([&space, v] {
       for (int i = 0; i < 10; ++i) {
-        mutex.lock();
-        mutex.unlock();
+        space.lock(kLock, v);
+        space.unlock(kLock, v);
       }
     });
   }
   for (auto& thread : threads) thread.join();
-  EXPECT_EQ(cluster.total_entries(), 40u);
-  EXPECT_FALSE(cluster.first_error().has_value())
-      << *cluster.first_error();
+  EXPECT_EQ(space.total_entries(), 40u);
+  EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -92,117 +101,90 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Runtime, UncontendedLockIsReentrantFree) {
-  LockCluster cluster(baselines::algorithm_by_name("Neilsen"),
-                      make_config(3));
-  DistributedMutex mutex = cluster.mutex(1);
+  ThreadedLockSpace space(make_config("Neilsen", 3));
   for (int i = 0; i < 100; ++i) {
-    mutex.lock();
-    mutex.unlock();
+    space.lock(kLock, 1);
+    space.unlock(kLock, 1);
   }
-  EXPECT_EQ(cluster.total_entries(), 100u);
+  EXPECT_EQ(space.total_entries(), 100u);
 }
 
 TEST(Runtime, TryLockForSucceedsQuickly) {
-  LockCluster cluster(baselines::algorithm_by_name("Neilsen"),
-                      make_config(3));
-  DistributedMutex mutex = cluster.mutex(2);
-  EXPECT_TRUE(mutex.try_lock_for(std::chrono::milliseconds(2000)));
-  mutex.unlock();
+  ThreadedLockSpace space(make_config("Neilsen", 3));
+  EXPECT_EQ(space.try_lock_for(kLock, 2, 2000ms), LockError::kOk);
+  space.unlock(kLock, 2);
 }
 
 TEST(Runtime, TryLockForTimesOutWhileBlocked) {
-  LockCluster cluster(baselines::algorithm_by_name("Neilsen"),
-                      make_config(3));
-  DistributedMutex holder = cluster.mutex(1);
-  holder.lock();
-  DistributedMutex blocked = cluster.mutex(2);
-  EXPECT_FALSE(blocked.try_lock_for(std::chrono::milliseconds(50)));
-  holder.unlock();
-  // The request is still outstanding and must eventually be granted.
-  blocked.lock();  // completes the earlier request
-  blocked.unlock();
-  EXPECT_FALSE(cluster.first_error().has_value())
-      << *cluster.first_error();
+  ThreadedLockSpace space(make_config("Neilsen", 3));
+  space.lock(kLock, 1);
+  EXPECT_EQ(space.try_lock_for(kLock, 2, 50ms), LockError::kTimeout);
+  space.unlock(kLock, 1);
+  // The timed-out request stays posted; a later lock() is still served.
+  space.lock(kLock, 2);
+  space.unlock(kLock, 2);
+  EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
 }
 
 TEST(Runtime, TryLockForTimeoutThenLockCompletesSameRequest) {
   // Follow-up semantics of a timed-out try_lock_for: the protocol request
-  // stays outstanding (requests cannot be cancelled), and a later lock()
-  // must complete THAT request — exactly one entry, no double-posted
-  // request, no lost wakeup even when the grant lands while no thread is
-  // waiting on it.
-  LockCluster cluster(baselines::algorithm_by_name("Neilsen"),
-                      make_config(3));
-  DistributedMutex holder = cluster.mutex(1);
-  holder.lock();
-  DistributedMutex blocked = cluster.mutex(2);
-  EXPECT_FALSE(blocked.try_lock_for(std::chrono::milliseconds(50)));
-  // Release while node 2 is NOT blocked in a wait: the grant must be
-  // latched, not lost.
-  holder.unlock();
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  blocked.lock();  // completes the outstanding request (no new one posted)
-  EXPECT_EQ(cluster.total_entries(), 2u);  // holder's + exactly one for 2
-  blocked.unlock();
+  // stays outstanding (requests cannot be cancelled), and its grant,
+  // landing while no thread waits, is released straight back. A later
+  // lock() then completes with exactly one entry, no double-posted
+  // request and no lost wakeup.
+  ThreadedLockSpace space(make_config("Neilsen", 3));
+  space.lock(kLock, 1);
+  EXPECT_EQ(space.try_lock_for(kLock, 2, 50ms), LockError::kTimeout);
+  // Release while node 2 is NOT blocked in a wait.
+  space.unlock(kLock, 1);
+  std::this_thread::sleep_for(200ms);
+  space.lock(kLock, 2);
+  EXPECT_EQ(space.total_entries(), 2u);  // holder's + exactly one for 2
+  space.unlock(kLock, 2);
   // The outstanding-request bookkeeping is fully reset: a fresh cycle
   // issues a new request and completes.
-  blocked.lock();
-  blocked.unlock();
-  EXPECT_EQ(cluster.total_entries(), 3u);
+  space.lock(kLock, 2);
+  space.unlock(kLock, 2);
+  EXPECT_EQ(space.total_entries(), 3u);
   // A double-posted request would trip the protocol's one-outstanding-
-  // request precondition on the actor thread and surface here.
-  EXPECT_FALSE(cluster.first_error().has_value())
-      << *cluster.first_error();
+  // request precondition on a strand and surface here.
+  EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
 }
 
 TEST(Runtime, ManyNodesLineTopology) {
-  LockClusterConfig config;
-  config.n = 12;
-  config.initial_token_holder = 6;
+  ThreadedLockSpaceConfig config = make_config("Neilsen", 12);
   config.tree = topology::Tree::line(12);
-  LockCluster cluster(baselines::algorithm_by_name("Neilsen"),
-                      std::move(config));
+  ThreadedLockSpace space(std::move(config));
   std::vector<std::thread> threads;
   for (NodeId v = 1; v <= 12; ++v) {
-    threads.emplace_back([&cluster, v] {
-      DistributedMutex mutex = cluster.mutex(v);
+    threads.emplace_back([&space, v] {
       for (int i = 0; i < 5; ++i) {
-        std::lock_guard<DistributedMutex> guard(mutex);
+        ScopedLock guard(space, kLock, v);
       }
     });
   }
   for (auto& thread : threads) thread.join();
-  EXPECT_EQ(cluster.total_entries(), 60u);
+  EXPECT_EQ(space.total_entries(), 60u);
 }
-
-}  // namespace
-}  // namespace dmx::runtime
-
-// ---- message accounting ----------------------------------------------------
-
-namespace dmx::runtime {
-namespace {
 
 TEST(Runtime, MessageCountingMatchesProtocolCost) {
-  // Star topology, token at the hub: locking from the hub is free;
+  // Star topology around the token's home: locking from the hub is free;
   // locking from a leaf costs exactly REQUEST + PRIVILEGE.
-  LockClusterConfig config;
-  config.n = 4;
-  config.initial_token_holder = 1;
-  config.tree = topology::Tree::star(4, 1);
-  LockCluster cluster(baselines::algorithm_by_name("Neilsen"),
-                      std::move(config));
+  ThreadedLockSpaceConfig config = make_config("Neilsen", 4);
+  const NodeId hub = home_of(config);
+  config.tree = topology::Tree::star(4, hub);
+  ThreadedLockSpace space(std::move(config));
+  ASSERT_EQ(space.home_node(kLock), hub);
 
-  DistributedMutex hub = cluster.mutex(1);
-  hub.lock();
-  hub.unlock();
-  EXPECT_EQ(cluster.messages_sent(), 0u);
+  space.lock(kLock, hub);
+  space.unlock(kLock, hub);
+  EXPECT_EQ(space.messages_sent(), 0u);
 
-  DistributedMutex leaf = cluster.mutex(2);
-  leaf.lock();
-  leaf.unlock();
-  EXPECT_EQ(cluster.messages_sent(), 2u);  // REQUEST(2,2) + PRIVILEGE
+  const NodeId leaf = hub == 1 ? 2 : 1;
+  space.lock(kLock, leaf);
+  space.unlock(kLock, leaf);
+  EXPECT_EQ(space.messages_sent(), 2u);  // REQUEST(2,2) + PRIVILEGE
 }
 
 }  // namespace
-}  // namespace dmx::runtime
+}  // namespace dmx::service
